@@ -19,6 +19,11 @@ cargo test --workspace -q
 echo "==> cargo clippy --workspace --all-targets -- -D warnings"
 cargo clippy --workspace --all-targets -- -D warnings
 
+echo "==> perfbench self-test (benchmark builds, every metric finite)"
+# The benchmark is its own workspace built against these crates by path:
+# API changes here must keep it compiling and its metrics well-formed.
+cargo test -q --release --manifest-path perfbench/Cargo.toml
+
 echo "==> arbalest lint all (static analyzer gate)"
 # Exit code enforces the contract: buggy models flagged, correct silent.
 ./target/release/arbalest lint all --quiet

@@ -2,11 +2,9 @@
 //! to `fig8`: one memory-bound kernel (saxpy over a mapped array) run
 //! native and under each of the five tools.
 //!
-//! Also includes the ablation benches DESIGN.md calls out:
-//! * `arbalest_no_races` — VSM only, race engine off (how much of
-//!   ARBALEST's cost is Archer's, §VI-E);
-//! * `arbalest_no_cache` — interval-tree lookups without the one-entry
-//!   cache (§IV-C's amortisation claim).
+//! Also includes the ablation bench DESIGN.md calls out:
+//! `arbalest_no_races` — VSM only, race engine off (how much of
+//! ARBALEST's cost is Archer's, §VI-E).
 //!
 //! Self-contained timing harness (`harness = false`, no external crates).
 
@@ -59,14 +57,6 @@ fn main() {
     bench("arbalest_no_races", || {
         let tool = Arc::new(Arbalest::new(ArbalestConfig {
             check_races: false,
-            ..Default::default()
-        }));
-        let rt = Runtime::with_tool(Config::default().team_size(2), tool);
-        saxpy(&rt)
-    });
-    bench("arbalest_no_cache", || {
-        let tool = Arc::new(Arbalest::new(ArbalestConfig {
-            lookup_cache: false,
             ..Default::default()
         }));
         let rt = Runtime::with_tool(Config::default().team_size(2), tool);

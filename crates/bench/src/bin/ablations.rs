@@ -3,11 +3,9 @@
 //! 1. race engine on/off — how much of ARBALEST's cost is Archer's
 //!    (§VI-E: "ARBALEST's execution time is dominated by Archer's race
 //!    detection routine");
-//! 2. interval-tree lookup cache on/off + measured hit rate (§IV-C's
-//!    amortised-O(1) claim);
-//! 3. device plugin pooled vs per-CV allocations — flips the Valgrind
+//! 2. device plugin pooled vs per-CV allocations — flips the Valgrind
 //!    model's UUM column (why LLVM 9 and LLVM 11 era tools differ);
-//! 4. staged vs direct `target update` transfers — flips MSan on
+//! 3. staged vs direct `target update` transfers — flips MSan on
 //!    DRACC_OMP_034 (§VI-C's "lack of OMPT" miss).
 
 use arbalest_baselines::{Memcheck, MemorySanitizer};
@@ -18,8 +16,8 @@ use std::time::Instant;
 
 const N: usize = 16384;
 
-fn saxpy_run(tool: Arc<Arbalest>) -> (f64, Arc<Arbalest>) {
-    let rt = Runtime::with_tool(Config::default().team_size(4), tool.clone());
+fn saxpy_run(tool: Arc<Arbalest>) -> f64 {
+    let rt = Runtime::with_tool(Config::default().team_size(4), tool);
     let x = rt.alloc_with::<f64>("x", N, |i| i as f64);
     let y = rt.alloc_with::<f64>("y", N, |_| 1.0);
     let start = Instant::now();
@@ -31,34 +29,22 @@ fn saxpy_run(tool: Arc<Arbalest>) -> (f64, Arc<Arbalest>) {
             });
         });
     }
-    (start.elapsed().as_secs_f64(), tool)
+    start.elapsed().as_secs_f64()
 }
 
 fn main() {
     println!("ABLATIONS (design-choice studies from DESIGN.md)\n");
 
-    // 1 + 2: Arbalest cost decomposition.
-    let (t_full, tool_full) =
-        saxpy_run(Arc::new(Arbalest::new(ArbalestConfig::default())));
-    let (t_norace, _) = saxpy_run(Arc::new(Arbalest::new(ArbalestConfig {
+    // 1: Arbalest cost decomposition.
+    let t_full = saxpy_run(Arc::new(Arbalest::new(ArbalestConfig::default())));
+    let t_norace = saxpy_run(Arc::new(Arbalest::new(ArbalestConfig {
         check_races: false,
-        ..Default::default()
-    })));
-    let (t_nocache, _) = saxpy_run(Arc::new(Arbalest::new(ArbalestConfig {
-        lookup_cache: false,
         ..Default::default()
     })));
     println!("1. race engine:   full {:.3}s  vsm-only {:.3}s  -> races are {:.0}% of Arbalest's cost",
         t_full, t_norace, 100.0 * (t_full - t_norace).max(0.0) / t_full);
-    println!(
-        "2. lookup cache:  with {:.3}s (hit rate {:.1}%)  without {:.3}s  -> {:.2}x",
-        t_full,
-        100.0 * tool_full.stats().cache_hit_rate(),
-        t_nocache,
-        t_nocache / t_full.max(1e-9)
-    );
 
-    // 3. Pooled vs per-CV plugin allocations: the Valgrind column flips.
+    // 2. Pooled vs per-CV plugin allocations: the Valgrind column flips.
     let detect_22 = |pooled: bool| -> bool {
         let tool = Arc::new(Memcheck::new());
         let rt = Runtime::with_tool(Config::default().pooled(pooled), tool.clone());
@@ -66,12 +52,12 @@ fn main() {
         tool.reports().iter().any(|r| r.kind == ReportKind::UninitRead)
     };
     println!(
-        "3. plugin pooling: memcheck on DRACC_OMP_022 — pooled (LLVM-9 era): {}, per-CV (LLVM-11 era): {}",
+        "2. plugin pooling: memcheck on DRACC_OMP_022 — pooled (LLVM-9 era): {}, per-CV (LLVM-11 era): {}",
         if detect_22(true) { "DETECTED" } else { "missed" },
         if detect_22(false) { "DETECTED" } else { "missed" },
     );
 
-    // 4. Staged vs direct update transfers: MSan on DRACC_OMP_034 flips.
+    // 3. Staged vs direct update transfers: MSan on DRACC_OMP_034 flips.
     let detect_34 = |staged: bool| -> bool {
         let tool = Arc::new(MemorySanitizer::new());
         let rt = Runtime::with_tool(Config::default().staged_updates(staged), tool.clone());
@@ -79,7 +65,7 @@ fn main() {
         tool.reports().iter().any(|r| r.kind == ReportKind::UninitRead)
     };
     println!(
-        "4. update staging: msan on DRACC_OMP_034 — staged (real runtimes): {}, direct: {}",
+        "3. update staging: msan on DRACC_OMP_034 — staged (real runtimes): {}, direct: {}",
         if detect_34(true) { "DETECTED" } else { "missed" },
         if detect_34(false) { "DETECTED" } else { "missed" },
     );

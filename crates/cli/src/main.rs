@@ -1045,23 +1045,19 @@ fn print_profile(
         );
     }
 
-    let hit = |r| snap.counter("arbalest_detector_lookup_cache_total", &[("result", r)]);
-    let (hits, misses) = (hit("hit").unwrap_or(0), hit("miss").unwrap_or(0));
-    let rate = if hits + misses == 0 { 0.0 } else { hits as f64 / (hits + misses) as f64 };
     println!("\ndetector");
     println!("  accesses            {:>14}", snap.counter_sum("arbalest_detector_accesses_total"));
     println!(
         "  vsm transitions     {:>14}",
         snap.counter_sum("arbalest_detector_vsm_transition_pairs_total")
     );
-    println!("  lookup cache        {:>13.1}% hit ({misses} miss(es))", rate * 100.0);
     println!(
         "  shadow CAS retries  {:>14}",
         snap.counter_sum("arbalest_detector_shadow_cas_retries_total")
     );
     if let Some(depth) = snap.histogram("arbalest_detector_lookup_depth", &[]) {
         println!(
-            "  tree lookup depth   {:>9.1} mean, {} max ({} uncached lookup(s))",
+            "  tree lookup depth   {:>9.1} mean, {} max ({} sampled lookup(s))",
             depth.mean(),
             depth.max,
             depth.count

@@ -3,12 +3,19 @@
 //! Per aligned 8-byte granule of every tracked host variable, ARBALEST
 //! keeps one Table II shadow word, updated with lock-free compare-and-swap
 //! so analysis runs fully concurrently with the program (§IV-C). Kernel
-//! accesses land on CV device addresses; an interval tree (with a
-//! last-lookup cache) resolves them back to the OV's shadow in
-//! O(log m) — amortised O(1) — and doubles as the §IV-D mapping-related
-//! buffer-overflow detector. A FastTrack engine (ARBALEST is built on
-//! Archer) supplies the happens-before side: data races are reported and
-//! the Table II TID/clock fields are stamped from the racing task's epoch.
+//! accesses land on CV device addresses; an interval tree resolves them
+//! back to the OV's shadow in O(log m) and doubles as the §IV-D
+//! mapping-related buffer-overflow detector. A FastTrack engine (ARBALEST
+//! is built on Archer) supplies the happens-before side: data races are
+//! reported and the Table II TID/clock fields are stamped from the racing
+//! task's epoch.
+//!
+//! Reports are deduplicated per (kind, buffer, source line). Which access
+//! of a parallel loop reaches a faulting line first depends on the thread
+//! schedule, so each key keeps a canonical winner — the candidate with
+//! the lowest address, then the lowest previous access — and
+//! [`reports`](Tool::reports) lists keys in source order. Two runs of the
+//! same program therefore print the same reports at any team size.
 
 use crate::vsm::{self, StorageLoc, ViolationKind, VsmOp};
 use arbalest_offload::addr::DeviceId;
@@ -21,10 +28,22 @@ use arbalest_offload::sections;
 use arbalest_race::RaceEngine;
 use arbalest_shadow::{IntervalTree, Layout, ShadowMemory};
 use arbalest_sync::{Mutex, RwLock};
-use std::collections::{HashMap, HashSet};
+use std::cell::RefCell;
+use std::collections::{BTreeMap, HashMap};
+use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::Arc;
 
-/// Deduplication key: (kind, buffer, file, line).
-type ReportKey = (ReportKind, Option<u32>, &'static str, u32);
+/// Deduplication key: (file, line, kind, buffer). Its order is the order
+/// [`Tool::reports`] lists findings in.
+type ReportKey = (&'static str, u32, ReportKind, Option<u32>);
+
+/// Order of the candidates for one key; the least wins: lowest address,
+/// then lowest previous access. The trailing fields only make the order
+/// total.
+fn rank(a: &Report, b: &Report) -> std::cmp::Ordering {
+    let key = |r: &Report| (r.addr, r.prev.map(|p| (p.tid, p.clock, p.is_write)), r.size, r.device);
+    key(a).cmp(&key(b)).then_with(|| a.message.cmp(&b.message))
+}
 
 /// Edges kept per buffer when provenance capture is on. A mapping-issue
 /// story is short (map, transfer, a few accesses); the ring only has to
@@ -38,6 +57,28 @@ struct CvInfo {
     ov_addr: u64,
 }
 
+/// One thread's view of one detector's interval tree.
+struct TreeView {
+    detector: u64,
+    generation: u64,
+    tree: Arc<IntervalTree<CvInfo>>,
+    /// Lookups made through this view, for depth sampling.
+    lookups: u32,
+}
+
+/// One lookup in this many records its depth (the first through each
+/// view always does): the histogram's shared atomics would otherwise
+/// cost more than the stab itself.
+const DEPTH_SAMPLE_EVERY: u32 = 64;
+
+thread_local! {
+    static TREE_VIEW: RefCell<Option<TreeView>> = const { RefCell::new(None) };
+}
+
+/// Source of detector ids, so detectors sharing a thread never share a
+/// tree view.
+static NEXT_DETECTOR: AtomicU64 = AtomicU64::new(0);
+
 /// Detector configuration.
 #[derive(Debug, Clone)]
 pub struct ArbalestConfig {
@@ -47,8 +88,6 @@ pub struct ArbalestConfig {
     /// Run the integrated happens-before race detection (Archer side).
     /// Disable only for ablation measurements.
     pub check_races: bool,
-    /// Use the one-entry interval-tree lookup cache (§IV-C's amortisation).
-    pub lookup_cache: bool,
     /// Stop recording after this many distinct reports.
     pub max_reports: usize,
     /// Capture per-buffer VSM edge provenance and attach the causal chain
@@ -63,7 +102,6 @@ impl Default for ArbalestConfig {
         ArbalestConfig {
             accelerators: 1,
             check_races: true,
-            lookup_cache: true,
             max_reports: 1024,
             provenance: false,
         }
@@ -80,12 +118,6 @@ impl Default for ArbalestConfig {
 pub struct ArbalestStats {
     /// Memory accesses analysed (`arbalest_detector_accesses_total`).
     pub accesses: arbalest_obs::Counter,
-    /// Interval lookups answered by the one-entry cache
-    /// (`arbalest_detector_lookup_cache_total{result="hit"}`).
-    pub cache_hits: arbalest_obs::Counter,
-    /// Interval lookups that walked the tree
-    /// (`arbalest_detector_lookup_cache_total{result="miss"}`).
-    pub cache_misses: arbalest_obs::Counter,
     /// The `(from,op)` transition matrix the total is derived from.
     metrics: std::sync::Arc<DetectorMetrics>,
 }
@@ -94,9 +126,6 @@ impl ArbalestStats {
     fn new(reg: &arbalest_obs::Registry, metrics: std::sync::Arc<DetectorMetrics>) -> ArbalestStats {
         ArbalestStats {
             accesses: reg.counter("arbalest_detector_accesses_total", &[]),
-            cache_hits: reg.counter("arbalest_detector_lookup_cache_total", &[("result", "hit")]),
-            cache_misses: reg
-                .counter("arbalest_detector_lookup_cache_total", &[("result", "miss")]),
             metrics,
         }
     }
@@ -109,18 +138,6 @@ impl ArbalestStats {
     /// second hot-path RMW per transition.
     pub fn vsm_transitions(&self) -> u64 {
         self.metrics.transitions_total()
-    }
-
-    /// Fraction of CV lookups served by the cache (0 when none happened,
-    /// never NaN).
-    pub fn cache_hit_rate(&self) -> f64 {
-        let h = self.cache_hits.get() as f64;
-        let m = self.cache_misses.get() as f64;
-        if h + m == 0.0 {
-            0.0
-        } else {
-            h / (h + m)
-        }
     }
 }
 
@@ -178,7 +195,7 @@ struct DetectorMetrics {
     /// Failed shadow-word CAS attempts
     /// (`arbalest_detector_shadow_cas_retries_total`).
     cas_retries: arbalest_obs::Counter,
-    /// Nodes visited per successful interval stab
+    /// Nodes visited per successful interval stab, sampled
     /// (`arbalest_detector_lookup_depth`).
     lookup_depth: arbalest_obs::Histogram,
     /// `arbalest_detector_present_ops_total{op}`: [cv_alloc, cv_delete].
@@ -266,18 +283,15 @@ pub struct SeenKey {
 }
 
 /// Complete serializable state of an [`Arbalest`] detector, produced by
-/// [`Arbalest::to_snapshot`]. All collections are sorted (shadow pages by
-/// page index, intervals by lo, buffers by id, seen keys lexicographically)
-/// except `reports`, which keeps insertion order — report order is part of
-/// the byte-identical-`Finish` contract.
+/// [`Arbalest::to_snapshot`]. All collections are sorted: shadow pages by
+/// page index, intervals by lo, buffers by id, seen keys lexicographically,
+/// and `reports` in the canonical order [`Tool::reports`] returns.
 #[derive(Debug, Clone, PartialEq)]
 pub struct DetectorSnapshot {
     /// [`ArbalestConfig::accelerators`].
     pub accelerators: u16,
     /// [`ArbalestConfig::check_races`].
     pub check_races: bool,
-    /// [`ArbalestConfig::lookup_cache`].
-    pub lookup_cache: bool,
     /// [`ArbalestConfig::max_reports`].
     pub max_reports: u64,
     /// Resident shadow pages ([`ShadowMemory::snapshot_pages`]).
@@ -286,9 +300,9 @@ pub struct DetectorSnapshot {
     pub intervals: Vec<CvInterval>,
     /// Registered buffers, sorted by id.
     pub buffers: Vec<BufferInfo>,
-    /// Findings so far, in insertion order.
+    /// Findings so far, in canonical order.
     pub reports: Vec<Report>,
-    /// Deduplication keys, sorted.
+    /// Deduplication keys, sorted; one per report.
     pub seen: Vec<SeenKey>,
     /// Whether [`Arbalest::evict_to_may`] has run.
     pub degraded: bool,
@@ -305,6 +319,8 @@ pub enum RestoreError {
     RaceMismatch,
     /// The snapshot's accelerator count exceeds the shadow encoding limit.
     TooManyAccelerators,
+    /// The snapshot's reports and deduplication keys do not pair up.
+    SeenMismatch,
 }
 
 impl std::fmt::Display for RestoreError {
@@ -313,6 +329,7 @@ impl std::fmt::Display for RestoreError {
             RestoreError::ShadowLayout => write!(f, "snapshot shadow pages do not fit this build's page layout"),
             RestoreError::RaceMismatch => write!(f, "snapshot race state disagrees with its check_races flag"),
             RestoreError::TooManyAccelerators => write!(f, "snapshot accelerator count exceeds the 7-device shadow encoding"),
+            RestoreError::SeenMismatch => write!(f, "snapshot reports do not match its deduplication keys"),
         }
     }
 }
@@ -324,12 +341,17 @@ pub struct Arbalest {
     cfg: ArbalestConfig,
     layout: Layout,
     shadow: ShadowMemory,
-    intervals: RwLock<IntervalTree<CvInfo>>,
-    cache: RwLock<Option<(u64, u64, CvInfo)>>,
+    /// CV→OV intervals. The tree is copied on write, never edited while
+    /// a thread's view shares it, so lookups read it without a lock.
+    intervals: Mutex<Arc<IntervalTree<CvInfo>>>,
+    /// Bumped after every interval change; older tree views are refreshed.
+    interval_generation: AtomicU64,
+    /// Process-unique id keying thread-local tree views.
+    id: u64,
     race: Option<RaceEngine>,
     buffers: RwLock<HashMap<u32, BufferInfo>>,
-    reports: Mutex<Vec<Report>>,
-    seen: Mutex<HashSet<ReportKey>>,
+    /// The canonical winner per deduplication key.
+    reports: Mutex<BTreeMap<ReportKey, Report>>,
     /// Per-buffer bounded rings of VSM edges, recorded only when
     /// [`ArbalestConfig::provenance`] is on; cloned into UUM/USD reports.
     prov: Mutex<HashMap<u32, std::collections::VecDeque<ProvenanceStep>>>,
@@ -370,12 +392,12 @@ impl Arbalest {
         Arbalest {
             layout,
             shadow: ShadowMemory::new(1),
-            intervals: RwLock::new(IntervalTree::new()),
-            cache: RwLock::new(None),
+            intervals: Mutex::new(Arc::new(IntervalTree::new())),
+            interval_generation: AtomicU64::new(0),
+            id: NEXT_DETECTOR.fetch_add(1, Ordering::Relaxed),
             race: if cfg.check_races { Some(RaceEngine::new()) } else { None },
             buffers: RwLock::new(HashMap::new()),
-            reports: Mutex::new(Vec::new()),
-            seen: Mutex::new(HashSet::new()),
+            reports: Mutex::new(BTreeMap::new()),
             prov: Mutex::new(HashMap::new()),
             prov_clock: std::sync::atomic::AtomicU64::new(0),
             stats: ArbalestStats::new(&reg, metrics.clone()),
@@ -387,8 +409,9 @@ impl Arbalest {
     }
 
     /// Shed side-table memory under resource pressure: drop every resident
-    /// shadow page, the race engine's per-location access history, and the
-    /// lookup cache, returning the approximate bytes freed.
+    /// shadow page and the race engine's per-location access history,
+    /// returning the approximate bytes freed. Freeing shadow pages needs
+    /// exclusive access, hence `&mut self`: no event may be in flight.
     ///
     /// The detector keeps running afterwards in *May mode*: evicted shadow
     /// words read back as the initial state, so VSM violations (UUM/USD)
@@ -397,13 +420,12 @@ impl Arbalest {
     /// retained interval tree and buffer table, and races between two
     /// post-eviction accesses) are still reported. Reports recorded before
     /// the eviction are retained. The transition is one-way.
-    pub fn evict_to_may(&self) -> u64 {
+    pub fn evict_to_may(&mut self) -> u64 {
         let before = self.side_table_bytes();
         self.shadow.evict_all();
         if let Some(r) = &self.race {
             r.evict_history();
         }
-        *self.cache.write() = None;
         self.degraded.store(true, std::sync::atomic::Ordering::Release);
         before.saturating_sub(self.side_table_bytes())
     }
@@ -423,7 +445,7 @@ impl Arbalest {
     pub fn to_snapshot(&self) -> DetectorSnapshot {
         let mut intervals: Vec<CvInterval> = self
             .intervals
-            .read()
+            .lock()
             .iter_ordered()
             .into_iter()
             .map(|(lo, hi, info)| CvInterval { lo, hi, buffer: info.buffer.0, ov_addr: info.ov_addr })
@@ -431,11 +453,10 @@ impl Arbalest {
         intervals.sort_unstable_by_key(|iv| iv.lo);
         let mut buffers: Vec<BufferInfo> = self.buffers.read().values().cloned().collect();
         buffers.sort_unstable_by_key(|b| b.id.0);
-        let mut seen: Vec<SeenKey> = self
-            .seen
-            .lock()
-            .iter()
-            .map(|&(kind, buffer, file, line)| SeenKey { kind, buffer, file: file.to_string(), line })
+        let reports = self.reports.lock();
+        let mut seen: Vec<SeenKey> = reports
+            .keys()
+            .map(|&(file, line, kind, buffer)| SeenKey { kind, buffer, file: file.to_string(), line })
             .collect();
         seen.sort_unstable_by(|a, b| {
             (a.kind, a.buffer, &a.file, a.line).cmp(&(b.kind, b.buffer, &b.file, b.line))
@@ -443,12 +464,11 @@ impl Arbalest {
         DetectorSnapshot {
             accelerators: self.cfg.accelerators,
             check_races: self.cfg.check_races,
-            lookup_cache: self.cfg.lookup_cache,
             max_reports: self.cfg.max_reports as u64,
             shadow_pages: self.shadow.snapshot_pages(),
             intervals,
             buffers,
-            reports: self.reports.lock().clone(),
+            reports: reports.values().cloned().collect(),
             seen,
             degraded: self.degraded(),
             race: self.race.as_ref().map(|r| r.to_snapshot()),
@@ -456,9 +476,10 @@ impl Arbalest {
     }
 
     /// Rebuild a detector from a [`DetectorSnapshot`], recording metrics
-    /// into `reg`. The lookup cache restarts cold (a pure performance
-    /// artifact, invisible to analysis results); everything else resumes
-    /// exactly where the dumped detector stopped.
+    /// into `reg`; it resumes exactly where the dumped detector stopped.
+    /// Reports may come in any order (older snapshots kept insertion
+    /// order): each is paired with its deduplication key by kind, buffer
+    /// name and source line.
     pub fn from_snapshot(
         snap: &DetectorSnapshot,
         reg: arbalest_obs::Registry,
@@ -472,7 +493,6 @@ impl Arbalest {
         let cfg = ArbalestConfig {
             accelerators: snap.accelerators,
             check_races: snap.check_races,
-            lookup_cache: snap.lookup_cache,
             max_reports: snap.max_reports as usize,
             // Provenance rings are transient working memory, deliberately
             // excluded from snapshots (the feature is off on every durable
@@ -481,7 +501,7 @@ impl Arbalest {
         };
         let layout = Layout::for_accelerators(cfg.accelerators);
         let metrics = reg.state(DetectorMetrics::new);
-        let shadow = ShadowMemory::new(1);
+        let mut shadow = ShadowMemory::new(1);
         if !shadow.restore_pages(&snap.shadow_pages) {
             return Err(RestoreError::ShadowLayout);
         }
@@ -495,24 +515,16 @@ impl Arbalest {
         }
         let buffers: HashMap<u32, BufferInfo> =
             snap.buffers.iter().map(|b| (b.id.0, b.clone())).collect();
-        let seen: HashSet<ReportKey> = snap
-            .seen
-            .iter()
-            .map(|k| {
-                // Re-intern the file path so the key's &'static str compares
-                // (and hashes) identically to keys made by future reports.
-                (k.kind, k.buffer, SrcLoc::intern(&k.file, 0, 0).file, k.line)
-            })
-            .collect();
+        let reports = pair_reports(&snap.reports, &snap.seen, &buffers)?;
         Ok(Arbalest {
             layout,
             shadow,
-            intervals: RwLock::new(intervals),
-            cache: RwLock::new(None),
+            intervals: Mutex::new(Arc::new(intervals)),
+            interval_generation: AtomicU64::new(0),
+            id: NEXT_DETECTOR.fetch_add(1, Ordering::Relaxed),
             race: snap.race.as_ref().map(RaceEngine::from_snapshot),
             buffers: RwLock::new(buffers),
-            reports: Mutex::new(snap.reports.clone()),
-            seen: Mutex::new(seen),
+            reports: Mutex::new(reports),
             prov: Mutex::new(HashMap::new()),
             prov_clock: std::sync::atomic::AtomicU64::new(0),
             stats: ArbalestStats::new(&reg, metrics.clone()),
@@ -558,29 +570,37 @@ impl Arbalest {
         provenance: Vec<ProvenanceStep>,
     ) {
         let key = (
-            kind,
-            buffer.map(|b| b.0),
             loc.map(|l| l.file).unwrap_or(""),
             loc.map(|l| l.line).unwrap_or(0),
+            kind,
+            buffer.map(|b| b.0),
         );
-        let mut seen = self.seen.lock();
-        if seen.len() >= self.cfg.max_reports || !seen.insert(key) {
-            return;
-        }
-        drop(seen);
-        self.reports.lock().push(Report {
+        let mut report = Report {
             tool: "arbalest",
             kind,
             message,
-            buffer: self.buffer_name(buffer),
+            buffer: None,
             device,
             addr,
             size,
             loc,
             prev,
             suggested_fix,
-            provenance,
-        });
+            provenance: Vec::new(),
+        };
+        let mut reports = self.reports.lock();
+        let full = reports.len() >= self.cfg.max_reports;
+        report.provenance = match reports.get_mut(&key) {
+            Some(winner) if rank(winner, &report).is_le() => return,
+            // The chain stays the key's first one: recorded closest to the
+            // decisive edges, it tells the story best. Chains are never
+            // rendered and depend on the schedule in any case.
+            Some(winner) => std::mem::take(&mut winner.provenance),
+            None if full => return,
+            None => provenance,
+        };
+        report.buffer = self.buffer_name(buffer);
+        reports.insert(key, report);
     }
 
     /// Record one VSM edge in the buffer's provenance ring (bounded at
@@ -630,27 +650,35 @@ impl Arbalest {
             .unwrap_or_default()
     }
 
-    /// Resolve a device (CV) address to its owning interval, through the
-    /// one-entry cache when enabled.
+    /// Resolve a device (CV) address to its owning interval through this
+    /// thread's view of the tree, refreshed under the lock only after an
+    /// interval change.
     fn lookup(&self, addr: u64) -> Option<(u64, u64, CvInfo)> {
-        if self.cfg.lookup_cache {
-            if let Some((lo, hi, info)) = *self.cache.read() {
-                if (lo..hi).contains(&addr) {
-                    self.stats.cache_hits.inc();
-                    return Some((lo, hi, info));
-                }
+        // Generation first: a change racing with the refresh leaves the
+        // view stamped older, so it is refreshed again.
+        let generation = self.interval_generation.load(Ordering::Acquire);
+        TREE_VIEW.with(|cell| {
+            let mut view = cell.borrow_mut();
+            if !matches!(&*view, Some(v) if v.detector == self.id && v.generation == generation) {
+                let tree = self.intervals.lock().clone();
+                *view = Some(TreeView { detector: self.id, generation, tree, lookups: 0 });
             }
-        }
-        self.stats.cache_misses.inc();
-        let tree = self.intervals.read();
-        let (lo, hi, info, depth) =
-            tree.stab_with_depth(addr).map(|(lo, hi, v, d)| (lo, hi, *v, d))?;
-        drop(tree);
-        self.metrics.lookup_depth.record(u64::from(depth));
-        if self.cfg.lookup_cache {
-            *self.cache.write() = Some((lo, hi, info));
-        }
-        Some((lo, hi, info))
+            let view = view.as_mut().expect("view installed above");
+            let (lo, hi, info, depth) = view.tree.stab_with_depth(addr)?;
+            if view.lookups % DEPTH_SAMPLE_EVERY == 0 {
+                self.metrics.lookup_depth.record(u64::from(depth));
+            }
+            view.lookups = view.lookups.wrapping_add(1);
+            Some((lo, hi, *info))
+        })
+    }
+
+    /// Edit the interval tree (copying it if a view shares it) and
+    /// invalidate every thread's view.
+    fn edit_intervals(&self, f: impl FnOnce(&mut IntervalTree<CvInfo>)) {
+        let mut tree = self.intervals.lock();
+        f(Arc::make_mut(&mut tree));
+        self.interval_generation.fetch_add(1, Ordering::Release);
     }
 
     /// Apply a VSM operation to one granule's shadow word, stamping the
@@ -710,27 +738,24 @@ impl Arbalest {
         len: u64,
         op: VsmOp,
     ) -> Option<(vsm::NamedState, vsm::NamedState)> {
-        let mut a = ov_addr & !7;
-        let end = ov_addr + len;
         // Accumulate locally and flush once: range ops dominate transition
         // volume, and per-granule counter traffic is what the ≤5%
         // observability budget cannot afford.
         let mut by_from = [0u64; 4];
         let mut retries_total = 0u64;
         let mut first_edge = None;
-        while a < end {
-            let (old, new, retries) = self.shadow.update_counted(a, 0, |w| {
-                let state = self.layout.decode(w);
-                vsm::apply(state, op).0.pipe_encode(self.layout)
-            });
-            by_from[vsm_state_index(vsm::named(self.layout.decode(old)))] += 1;
-            if first_edge.is_none() {
-                first_edge =
-                    Some((vsm::named(self.layout.decode(old)), vsm::named(self.layout.decode(new))));
-            }
-            retries_total += u64::from(retries);
-            a += 8;
-        }
+        self.shadow.update_range_counted(
+            ov_addr,
+            len,
+            0,
+            |w| self.layout.encode(vsm::apply(self.layout.decode(w), op).0),
+            |old, new, retries| {
+                let from = vsm::named(self.layout.decode(old));
+                by_from[vsm_state_index(from)] += 1;
+                first_edge.get_or_insert_with(|| (from, vsm::named(self.layout.decode(new))));
+                retries_total += u64::from(retries);
+            },
+        );
         self.metrics.note_transitions(op, &by_from, retries_total);
         first_edge
     }
@@ -768,15 +793,32 @@ impl Arbalest {
     }
 }
 
-/// Tiny helper so a `GranuleState` can be encoded in closure position.
-trait PipeEncode {
-    fn pipe_encode(self, layout: Layout) -> u64;
-}
-impl PipeEncode for arbalest_shadow::GranuleState {
-    #[inline]
-    fn pipe_encode(self, layout: Layout) -> u64 {
-        layout.encode(self)
+/// Pair snapshot reports with their deduplication keys. Keys name the
+/// buffer by id and reports by name, so both sides are matched on
+/// (kind, buffer name, file, line).
+fn pair_reports(
+    reports: &[Report],
+    seen: &[SeenKey],
+    buffers: &HashMap<u32, BufferInfo>,
+) -> Result<BTreeMap<ReportKey, Report>, RestoreError> {
+    if reports.len() != seen.len() {
+        return Err(RestoreError::SeenMismatch);
     }
+    let mut keys: HashMap<(ReportKind, Option<&str>, &str, u32), Vec<ReportKey>> = HashMap::new();
+    for k in seen.iter().rev() {
+        let name = k.buffer.and_then(|id| buffers.get(&id)).map(|b| b.name.as_str());
+        // Re-intern the file path so the key's &'static str compares
+        // identically to keys made by future reports.
+        let file = SrcLoc::intern(&k.file, 0, 0).file;
+        keys.entry((k.kind, name, &k.file, k.line)).or_default().push((file, k.line, k.kind, k.buffer));
+    }
+    let mut out = BTreeMap::new();
+    for r in reports {
+        let id = (r.kind, r.buffer.as_deref(), r.loc.map_or("", |l| l.file), r.loc.map_or(0, |l| l.line));
+        let key = keys.get_mut(&id).and_then(Vec::pop).ok_or(RestoreError::SeenMismatch)?;
+        out.insert(key, r.clone());
+    }
+    Ok(out)
 }
 
 impl Tool for Arbalest {
@@ -795,11 +837,13 @@ impl Tool for Arbalest {
         match ev.kind {
             DataOpKind::CvAlloc => {
                 self.metrics.present_ops[0].inc();
-                self.intervals.write().insert(
-                    ev.cv_base,
-                    ev.cv_base + ev.len,
-                    CvInfo { buffer: ev.buffer, ov_addr: ev.ov_addr },
-                );
+                self.edit_intervals(|tree| {
+                    tree.insert(
+                        ev.cv_base,
+                        ev.cv_base + ev.len,
+                        CvInfo { buffer: ev.buffer, ov_addr: ev.ov_addr },
+                    );
+                });
                 let op = VsmOp::Allocate(d);
                 if let Some((from, to)) = self.vsm_range(ev.ov_addr, ev.len, op) {
                     self.prov_note(Some(ev.buffer), op, from, to, None, ev.task.0 as u16);
@@ -807,8 +851,9 @@ impl Tool for Arbalest {
             }
             DataOpKind::CvDelete => {
                 self.metrics.present_ops[1].inc();
-                self.intervals.write().remove(ev.cv_base);
-                *self.cache.write() = None;
+                self.edit_intervals(|tree| {
+                    tree.remove(ev.cv_base);
+                });
                 let op = VsmOp::Release(d);
                 if let Some((from, to)) = self.vsm_range(ev.ov_addr, ev.len, op) {
                     self.prov_note(Some(ev.buffer), op, from, to, None, ev.task.0 as u16);
@@ -1039,11 +1084,11 @@ impl Tool for Arbalest {
     }
 
     fn reports(&self) -> Vec<Report> {
-        self.reports.lock().clone()
+        self.reports.lock().values().cloned().collect()
     }
 
     fn side_table_bytes(&self) -> u64 {
-        let mut bytes = self.shadow.resident_bytes() + self.intervals.read().approx_bytes();
+        let mut bytes = self.shadow.resident_bytes() + self.intervals.lock().approx_bytes();
         if let Some(r) = &self.race {
             bytes += r.approx_bytes();
         }
@@ -1369,24 +1414,45 @@ mod tests {
     }
 
     #[test]
-    fn cache_hit_rate_is_zero_not_nan_before_any_lookup() {
-        let tool = Arbalest::new(ArbalestConfig::default());
-        let rate = tool.stats().cache_hit_rate();
-        assert!(!rate.is_nan());
-        assert_eq!(rate, 0.0);
-        // Still well-defined with the cache disabled (misses only).
-        let (rt, tool) = harness(ArbalestConfig { lookup_cache: false, ..Default::default() });
-        let a = rt.alloc_with::<f64>("a", 8, |_| 1.0);
-        rt.target().map(Map::tofrom(&a)).run(move |k| {
-            k.for_each(0..8, |k, i| {
-                let v = k.read(&a, i);
-                k.write(&a, i, v);
-            });
-        });
-        let rate = tool.stats().cache_hit_rate();
-        assert!(!rate.is_nan());
-        assert_eq!(rate, 0.0);
-        assert!(tool.stats().cache_misses.get() > 0);
+    fn dedup_keeps_the_canonical_winner_whatever_the_arrival_order() {
+        // Faulting reads from one site in two orders, as two schedules of
+        // a parallel loop would deliver them: the lowest address wins.
+        let run = |order: &[usize]| {
+            let (rt, tool) = harness(ArbalestConfig::default());
+            let a = rt.alloc::<f64>("a", 8);
+            for &i in order {
+                let _ = rt.read(&a, i);
+            }
+            tool.reports()
+        };
+        let first = run(&[5, 2, 7]);
+        assert_eq!(first.len(), 1);
+        assert_eq!(first, run(&[7, 5, 2]));
+        assert_eq!(first, run(&[2]), "the read of a[2] must win");
+    }
+
+    #[test]
+    fn snapshot_pairs_reports_with_keys_in_any_order() {
+        let (rt, tool) = harness(ArbalestConfig::default());
+        let a = rt.alloc::<f64>("a", 8);
+        let b = rt.alloc::<f64>("b", 8);
+        let _ = rt.read(&b, 0);
+        let _ = rt.read(&a, 0);
+        rt.target().map(Map::to_section(&a, 0, 12)).run(|_| {});
+        let snap = tool.to_snapshot();
+        assert!(snap.reports.len() >= 3, "{:?}", snap.reports);
+        // Older snapshots kept insertion order; any order must restore to
+        // the same keyed state.
+        let mut shuffled = snap.clone();
+        shuffled.reports.reverse();
+        let back = Arbalest::from_snapshot(&shuffled, arbalest_obs::Registry::disabled()).unwrap();
+        assert_eq!(back.to_snapshot(), snap);
+        let mut orphan = snap.clone();
+        orphan.seen.pop();
+        assert_eq!(
+            Arbalest::from_snapshot(&orphan, arbalest_obs::Registry::disabled()).err(),
+            Some(RestoreError::SeenMismatch)
+        );
     }
 
     #[test]
@@ -1446,12 +1512,14 @@ mod tests {
         // No metrics recorded, and the stats counters read zero.
         assert!(reg.snapshot().counters.is_empty());
         assert_eq!(tool.stats().accesses.get(), 0);
-        assert_eq!(tool.stats().cache_hit_rate(), 0.0);
     }
 
     #[test]
     fn evict_to_may_sheds_memory_and_suppresses_vsm_claims() {
-        let (rt, tool) = harness(ArbalestConfig::default());
+        // Eviction is exclusive, so drive the detector from a recorded
+        // trace rather than from a live runtime sharing it.
+        let rec = Arc::new(arbalest_offload::trace::TraceRecorder::new());
+        let rt = Runtime::with_tool(Config::default(), rec.clone());
         let a = rt.alloc_with::<f64>("a", 100_000, |_| 0.0);
         rt.target().map(Map::tofrom(&a)).run(move |k| {
             k.for_each(0..100_000, |k, i| {
@@ -1459,6 +1527,11 @@ mod tests {
                 k.write(&a, i, v + 1.0);
             });
         });
+        let _ = rt.read(&a, 0);
+        let trace = rec.take();
+        let (last_read, program) = trace.split_last().unwrap();
+        let mut tool = Arbalest::new(ArbalestConfig::default());
+        arbalest_offload::trace::replay(program, &tool);
         assert!(tool.reports().is_empty(), "{:?}", tool.reports());
         let before = tool.side_table_bytes();
         let freed = tool.evict_to_may();
@@ -1467,7 +1540,7 @@ mod tests {
         assert!(tool.side_table_bytes() < before, "side tables did not shrink");
         // Post-eviction the granule reads back as the initial state, which
         // would be a UUM claim on a fresh detector; May mode suppresses it.
-        let _ = rt.read(&a, 0);
+        arbalest_offload::trace::apply(last_read, &tool);
         assert!(tool.reports().is_empty(), "May mode asserted a violation: {:?}", tool.reports());
     }
 

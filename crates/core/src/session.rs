@@ -74,11 +74,12 @@ impl AnalysisSession {
         self.tool.side_table_bytes()
     }
 
-    /// Shed detector side-table memory (shadow pages, race-access history,
-    /// lookup cache), switching the session into May mode: VSM violations
-    /// are suppressed from here on because the evicted state can no longer
-    /// support a Must claim. Returns the approximate bytes freed. One-way.
-    pub fn evict_to_may(&self) -> u64 {
+    /// Shed detector side-table memory (shadow pages, race-access history),
+    /// switching the session into May mode: VSM violations are suppressed
+    /// from here on because the evicted state can no longer support a Must
+    /// claim. Returns the approximate bytes freed. One-way, and exclusive:
+    /// no event may be in flight on the session.
+    pub fn evict_to_may(&mut self) -> u64 {
         self.tool.evict_to_may()
     }
 

@@ -102,7 +102,7 @@ fn seven_accelerators_round_robin() {
 }
 
 #[test]
-fn stats_expose_cache_amortisation() {
+fn stats_count_accesses_and_transitions() {
     let (rt, tool) = harness(1);
     let a = rt.alloc_with::<f64>("a", 4096, |_| 1.0);
     rt.target().map(Map::tofrom(&a)).run(move |k| {
@@ -114,25 +114,4 @@ fn stats_expose_cache_amortisation() {
     let stats = tool.stats();
     assert!(stats.accesses.get() >= 8192, "host init + kernel accesses");
     assert!(stats.vsm_transitions() >= stats.accesses.get());
-    assert!(
-        stats.cache_hit_rate() > 0.99,
-        "sequential kernel accesses must hit the one-entry cache: {}",
-        stats.cache_hit_rate()
-    );
-}
-
-#[test]
-fn cache_disabled_still_correct_just_not_amortised() {
-    let tool = Arc::new(Arbalest::new(ArbalestConfig { lookup_cache: false, ..Default::default() }));
-    let rt = Runtime::with_tool(Config::default(), tool.clone());
-    let a = rt.alloc_with::<f64>("a", 256, |_| 1.0);
-    rt.target().map(Map::tofrom(&a)).run(move |k| {
-        k.for_each(0..256, |k, i| {
-            let v = k.read(&a, i);
-            k.write(&a, i, v * 2.0);
-        });
-    });
-    assert!(tool.reports().is_empty());
-    assert_eq!(tool.stats().cache_hit_rate(), 0.0);
-    assert!(tool.stats().cache_misses.get() >= 512);
 }

@@ -4,11 +4,15 @@
 //! are byte-identical to what the detector produced before the feature
 //! existed — same renders, same order, and no provenance payload at all.
 //!
-//! Because the detector is deterministic under the analysis schedule,
-//! the strongest checkable form of "identical to the previous PR" is:
+//! The strongest checkable form of "identical to the detector before
+//! provenance capture existed" is:
 //! default runs are self-identical (replay-stable), and a provenance-on
 //! run changes *nothing* about the rendered output — the chain rides
-//! alongside the report, never inside it.
+//! alongside the report, never inside it. Replay stability holds because
+//! the detector keeps a canonical winner per deduplication key and lists
+//! reports in key order, so the thread schedule of a parallel loop cannot
+//! pick which faulting access is reported (`determinism.rs` checks this
+//! at several team sizes).
 
 use arbalest_core::{Arbalest, ArbalestConfig};
 use arbalest_offload::prelude::*;

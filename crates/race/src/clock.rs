@@ -85,6 +85,15 @@ impl VectorClock {
         Epoch { tid, clock: self.get(tid) }
     }
 
+    /// A copy that keeps this clock's allocated capacity (the derived
+    /// `clone` shrinks it to the length), so editing the copy allocates
+    /// exactly as editing the original in place would.
+    pub(crate) fn clone_with_capacity(&self) -> VectorClock {
+        let mut slots = Vec::with_capacity(self.slots.capacity());
+        slots.extend_from_slice(&self.slots);
+        VectorClock { slots }
+    }
+
     /// Heap bytes held.
     pub fn approx_bytes(&self) -> u64 {
         (self.slots.capacity() * 8) as u64

@@ -10,11 +10,26 @@
 //! with a per-slot monotone clock floor — the same pragmatic compromise
 //! production TSan makes, trading a bounded risk of false negatives in
 //! extremely long runs for bounded shadow state.
+//!
+//! # Clock views
+//!
+//! A task's vector clock changes only at sync events (fork, join, lock
+//! acquire and release), so each task holds an immutable
+//! `Arc<VectorClock>` that those events replace. Accesses read it
+//! through a thread-local view keyed by (engine id, task) and stamped
+//! with the engine's generation counter, which every clock-changing sync
+//! event bumps: while the generation is unchanged the view is current
+//! and the access path takes neither the `tasks` mutex nor a heap clone
+//! — FastTrack's epoch fast path. Any bump invalidates every view, which
+//! costs one refresh per thread after each sync event. Per-granule
+//! access state stays in mutex-sharded maps.
 
 use crate::clock::{Epoch, VectorClock, MAX_TIDS};
 use arbalest_sync::Mutex;
+use std::cell::RefCell;
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::Arc;
 
 /// Byte range of an access within its granule.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -70,9 +85,41 @@ impl LocState {
 
 struct TaskState {
     tid: u16,
-    vc: VectorClock,
+    /// Replaced, never mutated while shared: views may hold the old one.
+    vc: Arc<VectorClock>,
     ended: bool,
 }
+
+/// Apply `f` to a task clock. The clock is edited in place when no view
+/// shares it, and otherwise copied at its full capacity first, so the
+/// result — allocation included — is what an in-place edit would give.
+fn edit_clock(vc: &mut Arc<VectorClock>, f: impl FnOnce(&mut VectorClock)) {
+    match Arc::get_mut(vc) {
+        Some(own) => f(own),
+        None => {
+            let mut copy = vc.clone_with_capacity();
+            f(&mut copy);
+            *vc = Arc::new(copy);
+        }
+    }
+}
+
+/// One thread's cached clock of one task of one engine.
+struct ClockView {
+    engine: u64,
+    task: u32,
+    generation: u64,
+    tid: u16,
+    vc: Arc<VectorClock>,
+}
+
+thread_local! {
+    static VIEW: RefCell<Option<ClockView>> = const { RefCell::new(None) };
+}
+
+/// Source of [`RaceEngine`] ids, so two engines used from one thread
+/// never share a view.
+static NEXT_ENGINE: AtomicU64 = AtomicU64::new(0);
 
 const SHARDS: usize = 64;
 
@@ -143,6 +190,11 @@ pub struct RaceSnapshot {
 
 /// A happens-before race detection engine.
 pub struct RaceEngine {
+    /// Process-unique id keying thread-local clock views.
+    id: u64,
+    /// Bumped after every task-clock change; views of older generations
+    /// are refreshed before use.
+    generation: AtomicU64,
     tasks: Mutex<HashMap<u32, TaskState>>,
     /// Per-slot monotone clock floors for slot wrap-around.
     slot_floor: Mutex<Vec<u64>>,
@@ -162,6 +214,8 @@ impl RaceEngine {
     /// Create an engine with task 0 (the host) already registered.
     pub fn new() -> Self {
         let engine = RaceEngine {
+            id: NEXT_ENGINE.fetch_add(1, Ordering::Relaxed),
+            generation: AtomicU64::new(0),
             tasks: Mutex::new(HashMap::new()),
             slot_floor: Mutex::new(vec![0; MAX_TIDS]),
             next_slot: AtomicU64::new(0),
@@ -176,7 +230,13 @@ impl RaceEngine {
         let tid = self.alloc_slot();
         let mut vc = VectorClock::new();
         vc.tick(tid);
-        self.tasks.lock().insert(task, TaskState { tid, vc, ended: false });
+        self.tasks.lock().insert(task, TaskState { tid, vc: Arc::new(vc), ended: false });
+    }
+
+    /// Invalidate every thread's clock view; called after a clock change.
+    #[inline]
+    fn bump(&self) {
+        self.generation.fetch_add(1, Ordering::Release);
     }
 
     fn alloc_slot(&self) -> u16 {
@@ -187,29 +247,30 @@ impl RaceEngine {
     /// The (tid, clock) epoch a task would stamp on its next access —
     /// what ARBALEST stores in the shadow word's TID/clock fields.
     pub fn epoch_of(&self, task: u32) -> Epoch {
-        let tasks = self.tasks.lock();
-        tasks.get(&task).map(|t| t.vc.epoch(t.tid)).unwrap_or(Epoch::ZERO)
+        self.with_view(task, |tid, vc| vc.epoch(tid))
     }
 
     /// Fork: `child` begins, ordered after everything `parent` did so far.
     pub fn fork(&self, parent: u32, child: u32) {
         let tid = self.alloc_slot();
         let mut tasks = self.tasks.lock();
-        let parent_vc = tasks.get(&parent).map(|t| t.vc.clone()).unwrap_or_default();
-        let mut vc = parent_vc;
+        let mut vc = tasks.get(&parent).map(|t| VectorClock::clone(&t.vc)).unwrap_or_default();
         let floor = {
             let floors = self.slot_floor.lock();
             floors[tid as usize]
         };
         let start = vc.get(tid).max(floor) + 1;
         vc.set(tid, start);
-        tasks.insert(child, TaskState { tid, vc, ended: false });
+        tasks.insert(child, TaskState { tid, vc: Arc::new(vc), ended: false });
         // Parent ticks so its post-fork work is not ordered before the
         // child's view of it.
         if let Some(p) = tasks.get_mut(&parent) {
             let ptid = p.tid;
-            p.vc.tick(ptid);
+            edit_clock(&mut p.vc, |vc| {
+                vc.tick(ptid);
+            });
         }
+        self.bump();
     }
 
     /// Task end: freeze the task's final clock.
@@ -229,10 +290,11 @@ impl RaceEngine {
     /// release (FastTrack's `acquire` rule).
     pub fn acquire(&self, task: u32, lock: u64) {
         let lock_vc = self.locks.lock().get(&lock).cloned();
-        if let Some(vc) = lock_vc {
+        if let Some(lock_vc) = lock_vc {
             let mut tasks = self.tasks.lock();
             if let Some(t) = tasks.get_mut(&task) {
-                t.vc.join(&vc);
+                edit_clock(&mut t.vc, |vc| vc.join(&lock_vc));
+                self.bump();
             }
         }
     }
@@ -241,9 +303,12 @@ impl RaceEngine {
     pub fn release(&self, task: u32, lock: u64) {
         let mut tasks = self.tasks.lock();
         if let Some(t) = tasks.get_mut(&task) {
-            let snapshot = t.vc.clone();
+            let snapshot = VectorClock::clone(&t.vc);
             let tid = t.tid;
-            t.vc.tick(tid);
+            edit_clock(&mut t.vc, |vc| {
+                vc.tick(tid);
+            });
+            self.bump();
             drop(tasks);
             self.locks.lock().insert(lock, snapshot);
         }
@@ -257,9 +322,12 @@ impl RaceEngine {
             None => return,
         };
         if let Some(w) = tasks.get_mut(&waiter) {
-            w.vc.join(&joined_vc);
             let wtid = w.tid;
-            w.vc.tick(wtid);
+            edit_clock(&mut w.vc, |vc| {
+                vc.join(&joined_vc);
+                vc.tick(wtid);
+            });
+            self.bump();
         }
     }
 
@@ -271,24 +339,49 @@ impl RaceEngine {
         &self.shards[(h >> 58) as usize % SHARDS]
     }
 
-    fn task_view(&self, task: u32) -> (u16, VectorClock) {
-        let tasks = self.tasks.lock();
-        match tasks.get(&task) {
+    /// Run `f` on the task's current `(tid, clock)` through this thread's
+    /// view, refreshing the view under the `tasks` mutex only when it
+    /// belongs to another engine or task or predates the last clock
+    /// change. An unknown task reads as slot 0 with the empty clock.
+    #[inline]
+    fn with_view<R>(&self, task: u32, f: impl FnOnce(u16, &VectorClock) -> R) -> R {
+        // Read the generation before the clock: a change racing with the
+        // refresh leaves the view stamped older, so it is refreshed again.
+        let generation = self.generation.load(Ordering::Acquire);
+        VIEW.with(|cell| {
+            let mut view = cell.borrow_mut();
+            let current = matches!(&*view, Some(v)
+                if v.engine == self.id && v.task == task && v.generation == generation);
+            if !current {
+                *view = Some(self.fresh_view(task, generation));
+            }
+            let v = view.as_ref().expect("view installed above");
+            f(v.tid, &v.vc)
+        })
+    }
+
+    #[cold]
+    fn fresh_view(&self, task: u32, generation: u64) -> ClockView {
+        let (tid, vc) = match self.tasks.lock().get(&task) {
             Some(t) => (t.tid, t.vc.clone()),
-            None => (0, VectorClock::new()),
-        }
+            None => (0, Arc::new(VectorClock::new())),
+        };
+        ClockView { engine: self.id, task, generation, tid, vc }
     }
 
     /// FastTrack read check at `addr` (byte address; `size` ∈ 1..=8).
     /// Returns the racing prior write, if any.
     pub fn check_read(&self, task: u32, addr: u64, size: u8) -> Option<RaceInfo> {
-        let (tid, vc) = self.task_view(task);
+        self.with_view(task, |tid, vc| self.read_with(tid, vc, addr, size))
+    }
+
+    fn read_with(&self, tid: u16, vc: &VectorClock, addr: u64, size: u8) -> Option<RaceInfo> {
         let range = ByteRange { offset: (addr & 7) as u8, size };
         let granule = addr & !7;
         let mut shard = self.shard(granule).lock();
         let loc = shard.entry(granule).or_insert_with(LocState::new);
         let mut race = None;
-        if !loc.write.is_zero() && !loc.write.leq(&vc) && range.overlaps(loc.write_range) {
+        if !loc.write.is_zero() && !loc.write.leq(vc) && range.overlaps(loc.write_range) {
             race = Some(RaceInfo {
                 prev_tid: loc.write.tid,
                 prev_clock: loc.write.clock,
@@ -299,7 +392,7 @@ impl RaceEngine {
         let me = vc.epoch(tid);
         match &mut loc.read {
             ReadState::Epoch(e, r) => {
-                if e.is_zero() || e.leq(&vc) {
+                if e.is_zero() || e.leq(vc) {
                     *e = me;
                     *r = range;
                 } else {
@@ -319,13 +412,16 @@ impl RaceEngine {
 
     /// FastTrack write check.
     pub fn check_write(&self, task: u32, addr: u64, size: u8) -> Option<RaceInfo> {
-        let (tid, vc) = self.task_view(task);
+        self.with_view(task, |tid, vc| self.write_with(tid, vc, addr, size))
+    }
+
+    fn write_with(&self, tid: u16, vc: &VectorClock, addr: u64, size: u8) -> Option<RaceInfo> {
         let range = ByteRange { offset: (addr & 7) as u8, size };
         let granule = addr & !7;
         let mut shard = self.shard(granule).lock();
         let loc = shard.entry(granule).or_insert_with(LocState::new);
         let mut race = None;
-        if !loc.write.is_zero() && !loc.write.leq(&vc) && range.overlaps(loc.write_range) {
+        if !loc.write.is_zero() && !loc.write.leq(vc) && range.overlaps(loc.write_range) {
             race = Some(RaceInfo {
                 prev_tid: loc.write.tid,
                 prev_clock: loc.write.clock,
@@ -335,7 +431,7 @@ impl RaceEngine {
         if race.is_none() {
             match &loc.read {
                 ReadState::Epoch(e, r) => {
-                    if !e.is_zero() && !e.leq(&vc) && range.overlaps(*r) {
+                    if !e.is_zero() && !e.leq(vc) && range.overlaps(*r) {
                         race = Some(RaceInfo {
                             prev_tid: e.tid,
                             prev_clock: e.clock,
@@ -344,7 +440,7 @@ impl RaceEngine {
                     }
                 }
                 ReadState::Shared(rvc) => {
-                    if !rvc.leq(&vc) {
+                    if !rvc.leq(vc) {
                         // Find one offending reader for the report.
                         let mut offender = Epoch::ZERO;
                         for t in 0..MAX_TIDS as u16 {
@@ -373,30 +469,28 @@ impl RaceEngine {
     /// the destination range and reads of the source range by the
     /// transferring task. Returns the first race found.
     pub fn check_write_range(&self, task: u32, addr: u64, len: u64) -> Option<RaceInfo> {
-        let mut g = addr & !7;
-        let end = addr + len;
-        let mut first = None;
-        while g < end {
-            if let Some(r) = self.check_write(task, g, 8) {
-                first.get_or_insert(r);
+        self.with_view(task, |tid, vc| {
+            let mut first = None;
+            for g in (addr & !7..addr + len).step_by(8) {
+                if let Some(r) = self.write_with(tid, vc, g, 8) {
+                    first.get_or_insert(r);
+                }
             }
-            g += 8;
-        }
-        first
+            first
+        })
     }
 
     /// Range read check (see [`Self::check_write_range`]).
     pub fn check_read_range(&self, task: u32, addr: u64, len: u64) -> Option<RaceInfo> {
-        let mut g = addr & !7;
-        let end = addr + len;
-        let mut first = None;
-        while g < end {
-            if let Some(r) = self.check_read(task, g, 8) {
-                first.get_or_insert(r);
+        self.with_view(task, |tid, vc| {
+            let mut first = None;
+            for g in (addr & !7..addr + len).step_by(8) {
+                if let Some(r) = self.read_with(tid, vc, g, 8) {
+                    first.get_or_insert(r);
+                }
             }
-            g += 8;
-        }
-        first
+            first
+        })
     }
 
     /// Drop the recorded per-location access history — the bulk of the
@@ -478,6 +572,8 @@ impl RaceEngine {
         let mut floors = snap.slot_floor.clone();
         floors.resize(MAX_TIDS, 0);
         let engine = RaceEngine {
+            id: NEXT_ENGINE.fetch_add(1, Ordering::Relaxed),
+            generation: AtomicU64::new(0),
             tasks: Mutex::new(HashMap::new()),
             slot_floor: Mutex::new(floors),
             next_slot: AtomicU64::new(snap.next_slot),
@@ -491,7 +587,7 @@ impl RaceEngine {
                     t.task,
                     TaskState {
                         tid: t.tid,
-                        vc: VectorClock::from_slots(t.clock.clone()),
+                        vc: Arc::new(VectorClock::from_slots(t.clock.clone())),
                         ended: t.ended,
                     },
                 );
@@ -705,6 +801,84 @@ mod tests {
         e.fork(HOST, 3);
         r.fork(HOST, 3);
         assert_eq!(e.epoch_of(3), r.epoch_of(3));
+    }
+
+    #[test]
+    fn cached_view_is_refreshed_after_every_sync_event() {
+        // Each step primes this thread's view of a task right before the
+        // sync event that changes its clock; the next check must see the
+        // new clock, not the cached one.
+        let e = RaceEngine::new();
+        e.fork(HOST, 1);
+        e.fork(HOST, 2);
+
+        // Fork ticks the parent.
+        let h = e.epoch_of(HOST);
+        e.fork(HOST, 3);
+        assert_eq!(e.epoch_of(HOST).clock, h.clock + 1);
+
+        // Release ticks the releaser; acquire orders the acquirer.
+        assert!(e.check_write(1, 0xA00, 8).is_none());
+        let before = e.epoch_of(1);
+        e.release(1, 7);
+        assert_eq!(e.epoch_of(1).clock, before.clock + 1);
+        assert!(e.check_read(2, 0xA08, 8).is_none()); // view of task 2 cached
+        e.acquire(2, 7);
+        assert!(e.check_write(2, 0xA00, 8).is_none(), "acquire must refresh task 2's view");
+
+        // Join orders the waiter after the joined task.
+        assert!(e.check_write(3, 0xB00, 8).is_none());
+        e.end(3);
+        assert!(e.check_read(HOST, 0xB08, 8).is_none()); // view of the host cached
+        e.join(HOST, 3);
+        assert!(e.check_read(HOST, 0xB00, 8).is_none(), "join must refresh the host's view");
+
+        // A task unknown to the engine reads as the zero epoch.
+        assert_eq!(e.epoch_of(99), Epoch::ZERO);
+    }
+
+    #[test]
+    fn engines_sharing_a_thread_never_share_a_view() {
+        // Two sessions' engines on one thread (a server shard hosts many)
+        // with equal task ids and equal generation counts but different
+        // clocks.
+        let a = RaceEngine::new();
+        let b = RaceEngine::new();
+        a.fork(HOST, 1);
+        b.fork(HOST, 1);
+        assert!(a.check_write(1, 0x100, 8).is_none());
+        assert!(b.check_write(1, 0x100, 8).is_none());
+        b.end(1);
+        b.join(HOST, 1);
+        a.fork(HOST, 2); // same number of clock changes on both engines
+        assert_eq!(a.generation.load(Ordering::Relaxed), b.generation.load(Ordering::Relaxed));
+        for _ in 0..3 {
+            assert_eq!(a.epoch_of(HOST).clock, 3);
+            assert_eq!(b.epoch_of(HOST).clock, 3);
+            assert_ne!(a.epoch_of(1), b.epoch_of(2));
+            // In `a` the host never joined task 1, so its read races; in
+            // `b` the join orders it.
+            assert!(a.check_read(HOST, 0x100, 8).is_some(), "view leaked from b into a");
+            assert!(b.check_read(HOST, 0x100, 8).is_none(), "view leaked from a into b");
+        }
+    }
+
+    #[test]
+    fn clock_edits_keep_capacity_while_views_share_the_clock() {
+        // A view holding the task's clock forces a copy on the next sync
+        // event; the copy must keep the footprint of an in-place edit.
+        let shared = RaceEngine::new();
+        let alone = RaceEngine::new();
+        for (i, e) in [&shared, &alone].into_iter().enumerate() {
+            for child in 1..40 {
+                if i == 0 {
+                    let _ = e.epoch_of(HOST); // cache a view before each fork
+                }
+                e.fork(HOST, child);
+            }
+        }
+        assert_eq!(shared.approx_bytes(), alone.approx_bytes());
+        assert_eq!(shared.to_snapshot(), alone.to_snapshot());
     }
 
     #[test]

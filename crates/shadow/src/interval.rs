@@ -3,7 +3,7 @@
 //! ARBALEST keeps one interval per mapped variable / array section,
 //! mapping the CV's device address range back to the owning buffer and OV
 //! address (§IV-C). Lookups are O(log m) where m is the number of mapped
-//! sections; the detector amortises them with a last-lookup cache.
+//! sections.
 //!
 //! Intervals are half-open `[lo, hi)` keyed by `lo`. The tree supports
 //! overlapping intervals (needed transiently when stale dead entries
@@ -12,11 +12,13 @@
 //! address?" and compares it with the interval the program *meant*.
 
 /// An augmented AVL interval tree with `u64` endpoints.
+#[derive(Clone)]
 pub struct IntervalTree<V> {
     root: Option<Box<Node<V>>>,
     len: usize,
 }
 
+#[derive(Clone)]
 struct Node<V> {
     lo: u64,
     hi: u64,

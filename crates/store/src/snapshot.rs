@@ -5,7 +5,7 @@
 //!
 //! ```text
 //! magic "ABSS" | version:u16 | events:u64
-//! accelerators:u16 | check_races:bool | lookup_cache:bool
+//! accelerators:u16 | check_races:bool
 //! max_reports:u64 | degraded:bool
 //! shadow_pages  : count | { idx:u64, cells: count + u64* }*
 //! intervals     : count | { lo:u64, hi:u64, buffer:u32, ov_addr:u64 }*
@@ -15,6 +15,10 @@
 //! race          : 0 | 1 + race-engine state (tasks, floors, locs, locks)
 //! crc32 over everything above
 //! ```
+//!
+//! Version 1 carried one more byte, `lookup_cache:bool`, right after
+//! `check_races`; the cache it configured is gone. Version 1 snapshots
+//! and exports still decode: the byte is read and ignored.
 //!
 //! The trailer CRC is verified *before* any field decoding, so a
 //! truncated or bit-flipped snapshot fails typed ([`StoreError::Crc`])
@@ -33,7 +37,10 @@ use arbalest_race::{LocSnapshot, RaceSnapshot, ReadSnapshot, TaskSnapshot};
 pub const SNAP_MAGIC: [u8; 4] = *b"ABSS";
 
 /// Version of the snapshot layout. Bump on any layout change.
-pub const SNAP_VERSION: u16 = 1;
+pub const SNAP_VERSION: u16 = 2;
+
+/// The one older layout still decoded (with a `lookup_cache` byte).
+const SNAP_VERSION_V1: u16 = 1;
 
 fn put_u16(out: &mut Vec<u8>, v: u16) {
     out.extend_from_slice(&v.to_le_bytes());
@@ -76,7 +83,6 @@ pub fn encode_session_snapshot(snap: &SessionSnapshot) -> Vec<u8> {
     put_u64(&mut out, snap.events);
     put_u16(&mut out, d.accelerators);
     put_bool(&mut out, d.check_races);
-    put_bool(&mut out, d.lookup_cache);
     put_u64(&mut out, d.max_reports);
     put_bool(&mut out, d.degraded);
 
@@ -183,13 +189,15 @@ pub fn decode_session_snapshot(bytes: &[u8]) -> Result<SessionSnapshot, StoreErr
     }
     let mut cur = Cursor::new(&body[4..]);
     let version = cur.u16()?;
-    if version != SNAP_VERSION {
+    if version != SNAP_VERSION && version != SNAP_VERSION_V1 {
         return Err(StoreError::Version { got: version, want: SNAP_VERSION });
     }
     let events = cur.u64()?;
     let accelerators = cur.u16()?;
     let check_races = cur.bool()?;
-    let lookup_cache = cur.bool()?;
+    if version == SNAP_VERSION_V1 {
+        cur.bool()?; // lookup_cache, no longer configurable
+    }
     let max_reports = cur.u64()?;
     let degraded = cur.bool()?;
 
@@ -297,7 +305,6 @@ pub fn decode_session_snapshot(bytes: &[u8]) -> Result<SessionSnapshot, StoreErr
         detector: DetectorSnapshot {
             accelerators,
             check_races,
-            lookup_cache,
             max_reports,
             shadow_pages,
             intervals,
@@ -395,6 +402,37 @@ mod tests {
         match decode_session_snapshot(&bytes) {
             Err(StoreError::Version { got: 99, want: SNAP_VERSION }) => {}
             other => panic!("expected Version error, got {other:?}"),
+        }
+    }
+
+    /// Re-encode `snap` in the version 1 layout: the same bytes with a
+    /// `lookup_cache` byte after `check_races` and a resealed CRC.
+    fn encode_v1(snap: &SessionSnapshot, lookup_cache: bool) -> Vec<u8> {
+        let v2 = encode_session_snapshot(snap);
+        let body = &v2[..v2.len() - 4];
+        // magic(4) version(2) events(8) accelerators(2) check_races(1)
+        let split = 4 + 2 + 8 + 2 + 1;
+        let mut out = body[..split].to_vec();
+        out[4..6].copy_from_slice(&SNAP_VERSION_V1.to_le_bytes());
+        out.push(lookup_cache as u8);
+        out.extend_from_slice(&body[split..]);
+        let crc = crate::crc::crc32(&out);
+        out.extend_from_slice(&crc.to_le_bytes());
+        out
+    }
+
+    #[test]
+    fn version_1_snapshots_still_decode() {
+        assert_eq!(SNAP_VERSION, 2);
+        let snap = mid_stream_snapshot();
+        for lookup_cache in [true, false] {
+            let v1 = encode_v1(&snap, lookup_cache);
+            assert_eq!(v1.len(), encode_session_snapshot(&snap).len() + 1);
+            // The byte is read and ignored; everything else is intact, and
+            // re-encoding writes the current layout.
+            let back = decode_session_snapshot(&v1).unwrap();
+            assert_eq!(back, snap);
+            assert_eq!(encode_session_snapshot(&back), encode_session_snapshot(&snap));
         }
     }
 
