@@ -19,6 +19,11 @@ cargo test --workspace -q
 echo "==> cargo clippy --workspace --all-targets -- -D warnings"
 cargo clippy --workspace --all-targets -- -D warnings
 
+echo "==> granule-lock stress (ignored test, release)"
+# Sibling writers meet inside the race engine's per-granule critical
+# window only at release speed.
+cargo test -q --release -p arbalest-race --test granule_lock -- --ignored
+
 echo "==> perfbench self-test (benchmark builds, every metric finite)"
 # The benchmark is its own workspace built against these crates by path:
 # API changes here must keep it compiling and its metrics well-formed.
@@ -107,6 +112,9 @@ OPEN_OUT="$("$ARB" submit "$DTRACE" --connect "unix:$DSOCK" --take 1800 --no-fin
 SESSION="$(echo "$OPEN_OUT" | sed -n 's/.*session \([0-9]*\) left open.*/\1/p')"
 [[ -n "$SESSION" ]] || { echo "no open session id in: $OPEN_OUT"; exit 1; }
 kill -9 "$SERVE_PID"; wait "$SERVE_PID" 2>/dev/null || true
+# A killed server leaves its socket file behind; remove it so the wait
+# below waits for the restarted server's bind, not the stale file.
+rm -f "$DSOCK"
 # Capture before grepping (as above: `grep -q` would EPIPE the binary).
 INSPECT_OUT="$("$ARB" store inspect "$DATA")"
 echo "$INSPECT_OUT" | grep -q "session $SESSION" \

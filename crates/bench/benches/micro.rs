@@ -5,7 +5,8 @@
 //! * `interval_stab`  — CV→OV lookup is O(log m): sweep the number of
 //!   mapped sections m and observe the flat/logarithmic curve.
 //! * `word_codec`     — Table II encode/decode round-trip.
-//! * `race_check`     — the FastTrack epoch comparison on the hot path.
+//! * `race_check`     — the FastTrack epoch comparison on the hot path, a
+//!   transfer-sized range check, and a read of a shared-read granule.
 //!
 //! Self-contained timing harness (`harness = false`, no external crates):
 //! each benchmark runs a short warm-up, then timed batches, and prints
@@ -115,6 +116,21 @@ fn bench_race() {
     bench("race_check_write", || {
         addr = addr.wrapping_add(8) & 0xFFFF;
         black_box(engine.check_write(1, 0x40000 + addr, 8));
+    });
+    // A transfer-sized range: 2048 granules over four pages.
+    bench("race_check_write_range/16K", || {
+        black_box(engine.check_write_range(1, 0x80000, 16 * 1024));
+    });
+    // Granules read by two unordered siblings hold a shared read clock.
+    engine.fork(0, 2);
+    for g in (0..0x10000).step_by(8) {
+        engine.check_read(1, 0xC0000 + g, 8);
+        engine.check_read(2, 0xC0000 + g, 8);
+    }
+    let mut addr = 0u64;
+    bench("race_check_read_shared", || {
+        addr = addr.wrapping_add(8) & 0xFFFF;
+        black_box(engine.check_read(1, 0xC0000 + addr, 8));
     });
 }
 

@@ -423,7 +423,7 @@ impl Arbalest {
     pub fn evict_to_may(&mut self) -> u64 {
         let before = self.side_table_bytes();
         self.shadow.evict_all();
-        if let Some(r) = &self.race {
+        if let Some(r) = &mut self.race {
             r.evict_history();
         }
         self.degraded.store(true, std::sync::atomic::Ordering::Release);
@@ -682,18 +682,15 @@ impl Arbalest {
     }
 
     /// Apply a VSM operation to one granule's shadow word, stamping the
-    /// Table II epoch fields; returns the violation and the *previous*
-    /// word's recorded access for the report.
+    /// Table II epoch fields with the access's `epoch`; returns the
+    /// violation and the *previous* word's recorded access for the report.
     fn vsm_step(
         &self,
         key: u64,
         op: VsmOp,
-        ev: Option<&AccessEvent>,
+        ev: &AccessEvent,
+        epoch: arbalest_race::Epoch,
     ) -> (Option<vsm::Violation>, PrevAccess) {
-        let epoch = match (&self.race, ev) {
-            (Some(r), Some(ev)) => r.epoch_of(ev.task.0),
-            _ => arbalest_race::Epoch::ZERO,
-        };
         let mut violation = None;
         // The closure may re-run on CAS contention, so per-edge counting
         // happens *after* commit, from the old word that actually won.
@@ -701,28 +698,24 @@ impl Arbalest {
             let state = self.layout.decode(w);
             let (mut next, v) = vsm::apply(state, op);
             violation = v;
-            if let Some(ev) = ev {
-                next.tid = epoch.tid;
-                next.clock = epoch.clock;
-                next.is_write = ev.is_write;
-                next.access_size = ev.size as u8;
-                next.addr_offset = (ev.addr & 7) as u8;
-            }
+            next.tid = epoch.tid;
+            next.clock = epoch.clock;
+            next.is_write = ev.is_write;
+            next.access_size = ev.size as u8;
+            next.addr_offset = (ev.addr & 7) as u8;
             self.layout.encode(next)
         });
         let old_state = self.layout.decode(old);
         self.metrics.note_transition(vsm::named(old_state), op, retries);
         if self.cfg.provenance {
-            if let Some(ev) = ev {
-                self.prov_note(
-                    ev.buffer,
-                    op,
-                    vsm::named(old_state),
-                    vsm::named(self.layout.decode(new)),
-                    Some(ev.loc),
-                    epoch.tid,
-                );
-            }
+            self.prov_note(
+                ev.buffer,
+                op,
+                vsm::named(old_state),
+                vsm::named(self.layout.decode(new)),
+                Some(ev.loc),
+                epoch.tid,
+            );
         }
         let prev =
             PrevAccess { tid: old_state.tid, clock: old_state.clock, is_write: old_state.is_write };
@@ -760,16 +753,15 @@ impl Arbalest {
         first_edge
     }
 
-    fn race_access(&self, ev: &AccessEvent) {
+    /// Race-check one access and return the epoch its shadow word is
+    /// stamped with (zero without a race engine).
+    fn race_access(&self, ev: &AccessEvent) -> arbalest_race::Epoch {
+        let Some(engine) = &self.race else { return arbalest_race::Epoch::ZERO };
         if ev.atomic {
-            return; // `omp atomic` accesses are synchronised by definition
+            // `omp atomic` accesses are synchronised by definition.
+            return engine.epoch_of(ev.task.0);
         }
-        let Some(engine) = &self.race else { return };
-        let info = if ev.is_write {
-            engine.check_write(ev.task.0, ev.addr, ev.size as u8)
-        } else {
-            engine.check_read(ev.task.0, ev.addr, ev.size as u8)
-        };
+        let (info, epoch) = engine.check_access(ev.task.0, ev.addr, ev.size as u8, ev.is_write);
         if let Some(r) = info {
             self.report(
                 ReportKind::DataRace,
@@ -790,6 +782,7 @@ impl Arbalest {
                 Vec::new(),
             );
         }
+        epoch
     }
 }
 
@@ -965,7 +958,7 @@ impl Tool for Arbalest {
 
     fn on_access(&self, ev: &AccessEvent) {
         self.stats.accesses.inc();
-        self.race_access(ev);
+        let epoch = self.race_access(ev);
 
         let (key, loc) = if ev.device.is_host() {
             (ev.addr, StorageLoc::Host)
@@ -1032,7 +1025,7 @@ impl Tool for Arbalest {
         };
 
         let op = if ev.is_write { VsmOp::Write(loc) } else { VsmOp::Read(loc) };
-        let (violation, prev) = self.vsm_step(key, op, Some(ev));
+        let (violation, prev) = self.vsm_step(key, op, ev, epoch);
         // In May mode the shadow was evicted: decoded states are no longer
         // trustworthy, so a Must claim derived from them would be a false
         // positive. Transitions still commit (re-warming the shadow keeps

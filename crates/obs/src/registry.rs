@@ -158,7 +158,7 @@ pub(crate) struct Inner {
     pub(crate) epoch: Instant,
     /// Interned `'static` span names; `SpanName.0` indexes this.
     pub(crate) names: Mutex<Vec<&'static str>>,
-    /// Thread-striped flight-recorder rings, allocated on first span.
+    /// Flight-recorder ring, allocated on first span.
     pub(crate) recorder: OnceLock<FlightRecorder>,
     /// Per-registry cache of instrument packs (see [`Registry::state`]).
     pub(crate) extensions: Mutex<HashMap<TypeId, Arc<dyn Any + Send + Sync>>>,
@@ -336,7 +336,7 @@ impl Registry {
     }
 
     /// Drain the flight recorder: returns buffered span events sorted by
-    /// start time and resets the rings. Concurrent recording may tear
+    /// start time and resets the ring. Concurrent recording may tear
     /// individual slots; this is a diagnostic stream, not an audit log.
     /// Records lost to ring overwrite since the last drain are folded
     /// into the `arbalest_obs_dropped_spans_total` counter.
@@ -356,8 +356,8 @@ impl Registry {
 
     /// Span records lost to ring overwrite so far (drained or not). A
     /// nonzero value means a span dump is incomplete: the flight
-    /// recorder keeps only the most recent 1024 records per ring
-    /// between drains.
+    /// recorder keeps only the most recent 1024 records between
+    /// drains.
     pub fn dropped_spans(&self) -> u64 {
         self.inner.recorder.get().map(FlightRecorder::dropped).unwrap_or(0)
     }

@@ -2,8 +2,8 @@
 //!
 //! A [`Span`] is an RAII guard: it captures one `Instant` at start and
 //! one at drop (or at an explicit [`Span::end`]), writes a fixed-size
-//! record into a thread-striped ring buffer, and optionally feeds the
-//! same duration into a histogram. Rings are written with relaxed
+//! record into the registry's ring buffer, and optionally feeds the
+//! same duration into a histogram. The ring is written with relaxed
 //! atomics and a `fetch_add` head, so recording never blocks; a drain
 //! racing a writer may observe a torn slot, which is acceptable for a
 //! diagnostic flight recorder.
@@ -23,9 +23,7 @@ use std::time::Instant;
 
 use crate::registry::{Inner, Registry};
 
-/// Rings per registry; threads are striped across them by thread id.
-const NUM_RINGS: usize = 16;
-/// Slots per ring; the recorder keeps the most recent writes.
+/// Slots in the ring; the recorder keeps the most recent writes.
 const RING_SLOTS: usize = 1024;
 
 /// Interned span name (see [`Registry::span_name`]).
@@ -146,16 +144,25 @@ struct Slot {
     parent_id: AtomicU64,
 }
 
+/// The ring buffer holding the most recent span records of one
+/// registry, allocated when its first span finishes. One ring, not one
+/// per thread: spans are per construct, rare enough that writers share
+/// the head cheaply, and a registry whose spans come from many
+/// short-lived threads allocates 56 KiB once rather than a ring per
+/// thread stripe.
 #[derive(Debug)]
-struct Ring {
-    /// Total records ever written; slot index is `head % RING_SLOTS`.
+pub(crate) struct FlightRecorder {
+    /// Records written since the last drain; slot index is
+    /// `head % RING_SLOTS`.
     head: AtomicU64,
     slots: Box<[Slot]>,
+    /// Records lost to ring overwrite, folded in at each drain.
+    dropped: AtomicU64,
 }
 
-impl Ring {
-    fn new() -> Self {
-        Ring {
+impl FlightRecorder {
+    pub(crate) fn new() -> Self {
+        FlightRecorder {
             head: AtomicU64::new(0),
             slots: (0..RING_SLOTS)
                 .map(|_| Slot {
@@ -168,31 +175,14 @@ impl Ring {
                     parent_id: AtomicU64::new(0),
                 })
                 .collect(),
-        }
-    }
-}
-
-/// Thread-striped ring buffers holding the most recent span records.
-#[derive(Debug)]
-pub(crate) struct FlightRecorder {
-    rings: Vec<Ring>,
-    /// Records lost to ring overwrite, folded in at each drain.
-    dropped: AtomicU64,
-}
-
-impl FlightRecorder {
-    pub(crate) fn new() -> Self {
-        FlightRecorder {
-            rings: (0..NUM_RINGS).map(|_| Ring::new()).collect(),
             dropped: AtomicU64::new(0),
         }
     }
 
     fn record(&self, name: u32, ctx: SpanContext, start_ns: u64, dur_ns: u64) {
         let tid = current_tid();
-        let ring = &self.rings[tid as usize % NUM_RINGS];
-        let i = ring.head.fetch_add(1, Relaxed) as usize % RING_SLOTS;
-        let slot = &ring.slots[i];
+        let i = self.head.fetch_add(1, Relaxed) as usize % RING_SLOTS;
+        let slot = &self.slots[i];
         slot.meta.store(u64::from(name) << 32 | u64::from(tid), Relaxed);
         slot.start_ns.store(start_ns, Relaxed);
         slot.dur_ns.store(dur_ns, Relaxed);
@@ -203,47 +193,39 @@ impl FlightRecorder {
     }
 
     /// Overwrites so far: the folded total plus any not-yet-drained
-    /// excess sitting in the rings right now.
+    /// excess sitting in the ring right now.
     pub(crate) fn dropped(&self) -> u64 {
-        let pending: u64 = self
-            .rings
-            .iter()
-            .map(|r| r.head.load(Relaxed).saturating_sub(RING_SLOTS as u64))
-            .sum();
+        let pending = self.head.load(Relaxed).saturating_sub(RING_SLOTS as u64);
         self.dropped.load(Relaxed).wrapping_add(pending)
     }
 
-    /// Drain every ring; returns the events plus how many records this
+    /// Drain the ring; returns the events plus how many records this
     /// drain lost to overwrite.
     pub(crate) fn drain(&self, names: &[&'static str]) -> (Vec<SpanEvent>, u64) {
-        let mut out = Vec::new();
-        let mut lost_total = 0u64;
-        for ring in &self.rings {
-            let written = ring.head.swap(0, Relaxed);
-            let live = (written as usize).min(RING_SLOTS);
-            let lost = written.saturating_sub(RING_SLOTS as u64);
-            if lost > 0 {
-                self.dropped.fetch_add(lost, Relaxed);
-                lost_total += lost;
-            }
-            for slot in &ring.slots[..live] {
-                let meta = slot.meta.load(Relaxed);
-                let name_id = (meta >> 32) as usize;
-                let Some(&name) = names.get(name_id) else { continue };
-                out.push(SpanEvent {
-                    name,
-                    tid: meta as u32,
-                    start_ns: slot.start_ns.load(Relaxed),
-                    dur_ns: slot.dur_ns.load(Relaxed),
-                    trace: (u128::from(slot.trace_hi.load(Relaxed)) << 64)
-                        | u128::from(slot.trace_lo.load(Relaxed)),
-                    span: slot.span_id.load(Relaxed),
-                    parent: slot.parent_id.load(Relaxed),
-                });
-            }
+        let written = self.head.swap(0, Relaxed);
+        let live = (written as usize).min(RING_SLOTS);
+        let lost = written.saturating_sub(RING_SLOTS as u64);
+        if lost > 0 {
+            self.dropped.fetch_add(lost, Relaxed);
+        }
+        let mut out = Vec::with_capacity(live);
+        for slot in &self.slots[..live] {
+            let meta = slot.meta.load(Relaxed);
+            let name_id = (meta >> 32) as usize;
+            let Some(&name) = names.get(name_id) else { continue };
+            out.push(SpanEvent {
+                name,
+                tid: meta as u32,
+                start_ns: slot.start_ns.load(Relaxed),
+                dur_ns: slot.dur_ns.load(Relaxed),
+                trace: (u128::from(slot.trace_hi.load(Relaxed)) << 64)
+                    | u128::from(slot.trace_lo.load(Relaxed)),
+                span: slot.span_id.load(Relaxed),
+                parent: slot.parent_id.load(Relaxed),
+            });
         }
         out.sort_by_key(|e| e.start_ns);
-        (out, lost_total)
+        (out, lost)
     }
 }
 

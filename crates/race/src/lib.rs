@@ -7,8 +7,9 @@
 //!
 //! The engine consumes the runtime's task structure events (fork / end /
 //! join) and per-access checks at 8-byte granule granularity, refined by
-//! byte offset/length so two threads touching different halves of a word
-//! do not collide, mirroring TSan's shadow cells.
+//! a byte mask per recorded epoch so two threads touching different
+//! halves of a word do not collide. The state lives in direct-mapped
+//! shadow cells beside each granule, as TSan's does.
 
 #![warn(missing_docs)]
 
@@ -16,7 +17,9 @@ pub mod clock;
 pub mod engine;
 
 pub use clock::{Epoch, VectorClock};
-pub use engine::{LocSnapshot, RaceEngine, RaceInfo, RaceSnapshot, ReadSnapshot, TaskSnapshot};
+pub use engine::{
+    byte_mask, LocSnapshot, RaceEngine, RaceInfo, RaceSnapshot, ReadSnapshot, TaskSnapshot,
+};
 
 /// # Example
 ///

@@ -34,8 +34,10 @@ use std::collections::HashMap;
 use std::ptr;
 use std::sync::atomic::{AtomicPtr, AtomicU64, AtomicUsize, Ordering};
 
-/// Log2 of the application bytes covered by one shadow page.
-const APP_PAGE_SHIFT: u32 = 12;
+/// Log2 of the application bytes covered by one shadow page: page index
+/// `i` of [`ShadowMemory::snapshot_pages`] starts at address
+/// `i << APP_PAGE_SHIFT`.
+pub const APP_PAGE_SHIFT: u32 = 12;
 /// Application bytes covered per shadow page.
 const APP_PAGE_BYTES: u64 = 1 << APP_PAGE_SHIFT;
 /// Granules per shadow page.
@@ -346,6 +348,31 @@ impl ShadowMemory {
         cas(&self.page(addr)[self.cell_index(addr, slot)], f)
     }
 
+    /// The `slots` cells of the granule holding `addr`, materialising its
+    /// page: three dependent atomic loads once the page is resident.
+    #[inline]
+    pub fn granule(&self, addr: u64) -> &[AtomicU64] {
+        let first = self.cell_index(addr, 0);
+        &self.page(addr)[first..first + self.slots]
+    }
+
+    /// Call `run(first, cells)` once per page that the granules of
+    /// `[addr, addr + len)` touch, in address order, materialising each
+    /// page. `first` is the address of the run's first granule and
+    /// `cells` holds the run's granules back to back, `slots` cells each,
+    /// so a ranged operation resolves each page once, not once per
+    /// granule.
+    pub fn for_each_run(&self, addr: u64, len: u64, mut run: impl FnMut(u64, &[AtomicU64])) {
+        let mut a = addr & !7;
+        let end = addr.saturating_add(len);
+        while a < end {
+            let granules = (end - a).div_ceil(8).min(granules_left_in_page(a));
+            let first = self.cell_index(a, 0);
+            run(a, &self.page(a)[first..first + granules as usize * self.slots]);
+            a = a.saturating_add(granules * 8);
+        }
+    }
+
     /// Apply `f` to every granule cell in `[addr, addr + len)` (8-byte
     /// aligned range), slot fixed.
     pub fn update_range(&self, addr: u64, len: u64, slot: usize, f: impl FnMut(u64) -> u64) {
@@ -354,7 +381,6 @@ impl ShadowMemory {
 
     /// [`update_range`](Self::update_range) reporting every committed
     /// `(old, new, failed attempts)` to `committed`, in address order.
-    /// Each page is resolved once, not once per granule.
     pub fn update_range_counted(
         &self,
         addr: u64,
@@ -363,17 +389,12 @@ impl ShadowMemory {
         mut f: impl FnMut(u64) -> u64,
         mut committed: impl FnMut(u64, u64, u32),
     ) {
-        let mut a = addr & !7;
-        let end = addr + len;
-        while a < end {
-            let stop = end.min((a | (APP_PAGE_BYTES - 1)) + 1);
-            let cells = self.page(a);
-            while a < stop {
-                let (old, new, retries) = cas(&cells[self.cell_index(a, slot)], &mut f);
+        self.for_each_run(addr, len, |_, cells| {
+            for granule in cells.chunks_exact(self.slots) {
+                let (old, new, retries) = cas(&granule[slot], &mut f);
                 committed(old, new, retries);
-                a += 8;
             }
-        }
+        });
     }
 
     /// Copy slot contents for a range from another shadow (used for
@@ -668,6 +689,31 @@ mod tests {
         assert_eq!(s.evict_all(), resident);
         s.store(0x5000, 0, 4);
         assert_eq!(s.load(0x5000, 0), 4);
+    }
+
+    #[test]
+    fn page_runs_cover_each_granule_once() {
+        let s = ShadowMemory::new(2);
+        let (mut seen, mut runs) = (Vec::new(), 0);
+        s.for_each_run(0x1ff3, 0x1010, |first, cells| {
+            runs += 1;
+            for (i, g) in cells.chunks_exact(2).enumerate() {
+                seen.push(first + 8 * i as u64);
+                g[1].fetch_add(1, Ordering::Relaxed);
+            }
+        });
+        let want: Vec<u64> = (0x1ff0..0x1ff3 + 0x1010).step_by(8).collect();
+        assert_eq!(seen, want);
+        assert_eq!(runs, 3, "one run per page touched");
+        for &g in &want {
+            assert_eq!(s.granule(g + 5)[1].load(Ordering::Relaxed), 1);
+            assert_eq!(s.load(g, 1), 1);
+            assert_eq!(s.load(g, 0), 0);
+        }
+        // The top of the address space ends the walk instead of wrapping.
+        let mut granules = 0;
+        s.for_each_run(u64::MAX - 20, 40, |_, cells| granules += cells.len() / 2);
+        assert_eq!(granules, 3);
     }
 
     #[test]

@@ -13,12 +13,17 @@
 //! reports       : wire::encode_reports
 //! seen          : count | { kind:u8, buffer:0|1+u32, file:str, line:u32 }*
 //! race          : 0 | 1 + race-engine state (tasks, floors, locs, locks)
+//!   loc         : granule:u64 write_tid:u16 write_clock:u64 write_mask:u8
+//!                 { 0 tid:u16 clock:u64 mask:u8 | 1 mask:u8 clock }
 //! crc32 over everything above
 //! ```
 //!
-//! Version 1 carried one more byte, `lookup_cache:bool`, right after
-//! `check_races`; the cache it configured is gone. Version 1 snapshots
-//! and exports still decode: the byte is read and ignored.
+//! Older layouts still decode. Version 2 recorded each access as a byte
+//! `offset:u8 size:u8` pair instead of a mask (and a shared read clock
+//! with no bytes, which decodes as the whole granule). Version 1 is
+//! version 2 with one more byte, `lookup_cache:bool`, right after
+//! `check_races`; the cache it configured is gone, and the byte is read
+//! and ignored.
 //!
 //! The trailer CRC is verified *before* any field decoding, so a
 //! truncated or bit-flipped snapshot fails typed ([`StoreError::Crc`])
@@ -31,15 +36,17 @@ use crate::StoreError;
 use arbalest_core::{CvInterval, DetectorSnapshot, SeenKey, SessionSnapshot};
 use arbalest_offload::buffer::{BufferId, BufferInfo};
 use arbalest_offload::wire::{self, Cursor, WireError};
-use arbalest_race::{LocSnapshot, RaceSnapshot, ReadSnapshot, TaskSnapshot};
+use arbalest_race::{byte_mask, LocSnapshot, RaceSnapshot, ReadSnapshot, TaskSnapshot};
 
 /// Magic prefix of a snapshot (file or `Export` payload).
 pub const SNAP_MAGIC: [u8; 4] = *b"ABSS";
 
 /// Version of the snapshot layout. Bump on any layout change.
-pub const SNAP_VERSION: u16 = 2;
+pub const SNAP_VERSION: u16 = 3;
 
-/// The one older layout still decoded (with a `lookup_cache` byte).
+/// Older layouts still decoded: byte ranges instead of byte masks, and in
+/// version 1 a `lookup_cache` byte as well.
+const SNAP_VERSION_V2: u16 = 2;
 const SNAP_VERSION_V1: u16 = 1;
 
 fn put_u16(out: &mut Vec<u8>, v: u16) {
@@ -143,19 +150,18 @@ pub fn encode_session_snapshot(snap: &SessionSnapshot) -> Vec<u8> {
                 put_u64(&mut out, *granule);
                 put_u16(&mut out, loc.write_tid);
                 put_u64(&mut out, loc.write_clock);
-                out.push(loc.write_offset);
-                out.push(loc.write_size);
+                out.push(loc.write_mask);
                 match &loc.read {
-                    ReadSnapshot::Epoch { tid, clock, offset, size } => {
+                    ReadSnapshot::Epoch { tid, clock, mask } => {
                         out.push(0);
                         put_u16(&mut out, *tid);
                         put_u64(&mut out, *clock);
-                        out.push(*offset);
-                        out.push(*size);
+                        out.push(*mask);
                     }
-                    ReadSnapshot::Shared(slots) => {
+                    ReadSnapshot::Shared { clock, mask } => {
                         out.push(1);
-                        put_clock(&mut out, slots);
+                        out.push(*mask);
+                        put_clock(&mut out, clock);
                     }
                 }
             }
@@ -189,7 +195,7 @@ pub fn decode_session_snapshot(bytes: &[u8]) -> Result<SessionSnapshot, StoreErr
     }
     let mut cur = Cursor::new(&body[4..]);
     let version = cur.u16()?;
-    if version != SNAP_VERSION && version != SNAP_VERSION_V1 {
+    if !matches!(version, SNAP_VERSION | SNAP_VERSION_V2 | SNAP_VERSION_V1) {
         return Err(StoreError::Version { got: version, want: SNAP_VERSION });
     }
     let events = cur.u64()?;
@@ -267,24 +273,30 @@ pub fn decode_session_snapshot(bytes: &[u8]) -> Result<SessionSnapshot, StoreErr
                 let granule = cur.u64()?;
                 let write_tid = cur.u16()?;
                 let write_clock = cur.u64()?;
-                let write_offset = cur.u8()?;
-                let write_size = cur.u8()?;
+                // Version 2 and older: an `offset:u8 size:u8` byte range.
+                let mask = |cur: &mut Cursor<'_>| -> Result<u8, WireError> {
+                    if version == SNAP_VERSION {
+                        cur.u8()
+                    } else {
+                        Ok(byte_mask(u64::from(cur.u8()?), cur.u8()?))
+                    }
+                };
+                let write_mask = mask(&mut cur)?;
                 let read = match cur.u8()? {
                     0 => ReadSnapshot::Epoch {
                         tid: cur.u16()?,
                         clock: cur.u64()?,
-                        offset: cur.u8()?,
-                        size: cur.u8()?,
+                        mask: mask(&mut cur)?,
                     },
-                    1 => ReadSnapshot::Shared(clock(&mut cur)?),
+                    1 if version == SNAP_VERSION => {
+                        ReadSnapshot::Shared { mask: cur.u8()?, clock: clock(&mut cur)? }
+                    }
+                    1 => ReadSnapshot::Shared { mask: 0xFF, clock: clock(&mut cur)? },
                     tag => {
                         return Err(StoreError::Wire(WireError::BadTag { what: "read state", tag }))
                     }
                 };
-                locs.push((
-                    granule,
-                    LocSnapshot { write_tid, write_clock, write_offset, write_size, read },
-                ));
+                locs.push((granule, LocSnapshot { write_tid, write_clock, write_mask, read }));
             }
             let n = cur.count("race locks")?;
             let mut locks = Vec::with_capacity(n);
@@ -405,10 +417,65 @@ mod tests {
         }
     }
 
-    /// Re-encode `snap` in the version 1 layout: the same bytes with a
-    /// `lookup_cache` byte after `check_races` and a resealed CRC.
+    /// Encode `snap` in the version 2 layout, where each access is an
+    /// `offset:u8 size:u8` byte range and a shared read clock has no
+    /// bytes. Every mask in `snap` must be one contiguous range.
+    fn encode_v2(snap: &SessionSnapshot) -> Vec<u8> {
+        let race = snap.detector.race.as_ref().expect("race state");
+        let mut without_race = snap.clone();
+        without_race.detector.race = None;
+        let v3 = encode_session_snapshot(&without_race);
+        // Drop the trailer and the `0` race tag, then append the v2 race.
+        let mut out = v3[..v3.len() - 5].to_vec();
+        out[4..6].copy_from_slice(&SNAP_VERSION_V2.to_le_bytes());
+        let range = |mask: u8| {
+            let (offset, size) = (mask.trailing_zeros() as u8, mask.count_ones() as u8);
+            assert_eq!(byte_mask(u64::from(offset), size), mask, "mask {mask:#x} is not one range");
+            [offset, size]
+        };
+        out.push(1);
+        put_u32(&mut out, race.tasks.len() as u32);
+        for t in &race.tasks {
+            put_u32(&mut out, t.task);
+            put_u16(&mut out, t.tid);
+            put_bool(&mut out, t.ended);
+            put_clock(&mut out, &t.clock);
+        }
+        put_clock(&mut out, &race.slot_floor);
+        put_u64(&mut out, race.next_slot);
+        put_u32(&mut out, race.locs.len() as u32);
+        for (granule, loc) in &race.locs {
+            put_u64(&mut out, *granule);
+            put_u16(&mut out, loc.write_tid);
+            put_u64(&mut out, loc.write_clock);
+            out.extend_from_slice(&range(loc.write_mask));
+            match &loc.read {
+                ReadSnapshot::Epoch { tid, clock, mask } => {
+                    out.push(0);
+                    put_u16(&mut out, *tid);
+                    put_u64(&mut out, *clock);
+                    out.extend_from_slice(&range(*mask));
+                }
+                ReadSnapshot::Shared { clock, .. } => {
+                    out.push(1);
+                    put_clock(&mut out, clock);
+                }
+            }
+        }
+        put_u32(&mut out, race.locks.len() as u32);
+        for (lock, slots) in &race.locks {
+            put_u64(&mut out, *lock);
+            put_clock(&mut out, slots);
+        }
+        let crc = crate::crc::crc32(&out);
+        out.extend_from_slice(&crc.to_le_bytes());
+        out
+    }
+
+    /// The version 1 layout: version 2 with a `lookup_cache` byte after
+    /// `check_races` and a resealed CRC.
     fn encode_v1(snap: &SessionSnapshot, lookup_cache: bool) -> Vec<u8> {
-        let v2 = encode_session_snapshot(snap);
+        let v2 = encode_v2(snap);
         let body = &v2[..v2.len() - 4];
         // magic(4) version(2) events(8) accelerators(2) check_races(1)
         let split = 4 + 2 + 8 + 2 + 1;
@@ -421,18 +488,49 @@ mod tests {
         out
     }
 
+    /// A mid-stream snapshot plus one granule with a shared read clock,
+    /// so both read forms reach the legacy encoders, and what decoding
+    /// it from a legacy layout must give: the shared read covering the
+    /// whole granule.
+    fn legacy_case() -> (SessionSnapshot, SessionSnapshot) {
+        let mut snap = mid_stream_snapshot();
+        let race = snap.detector.race.as_mut().expect("race state");
+        race.locs.push((
+            !7,
+            LocSnapshot {
+                write_tid: 1,
+                write_clock: 4,
+                write_mask: 0x0F,
+                read: ReadSnapshot::Shared { clock: vec![3, 5], mask: 0x30 },
+            },
+        ));
+        let mut want = snap.clone();
+        if let Some((_, loc)) = want.detector.race.as_mut().and_then(|r| r.locs.last_mut()) {
+            loc.read = ReadSnapshot::Shared { clock: vec![3, 5], mask: 0xFF };
+        }
+        (snap, want)
+    }
+
+    #[test]
+    fn version_2_snapshots_still_decode() {
+        assert_eq!(SNAP_VERSION, 3);
+        let (snap, want) = legacy_case();
+        let back = decode_session_snapshot(&encode_v2(&snap)).unwrap();
+        assert_eq!(back, want);
+        // Re-encoding writes the current layout.
+        assert_eq!(encode_session_snapshot(&back), encode_session_snapshot(&want));
+    }
+
     #[test]
     fn version_1_snapshots_still_decode() {
-        assert_eq!(SNAP_VERSION, 2);
-        let snap = mid_stream_snapshot();
+        let (snap, want) = legacy_case();
         for lookup_cache in [true, false] {
             let v1 = encode_v1(&snap, lookup_cache);
-            assert_eq!(v1.len(), encode_session_snapshot(&snap).len() + 1);
-            // The byte is read and ignored; everything else is intact, and
-            // re-encoding writes the current layout.
+            assert_eq!(v1.len(), encode_v2(&snap).len() + 1);
+            // The byte is read and ignored; everything else is intact.
             let back = decode_session_snapshot(&v1).unwrap();
-            assert_eq!(back, snap);
-            assert_eq!(encode_session_snapshot(&back), encode_session_snapshot(&snap));
+            assert_eq!(back, want);
+            assert_eq!(encode_session_snapshot(&back), encode_session_snapshot(&want));
         }
     }
 
