@@ -19,6 +19,10 @@ cargo test --workspace -q
 echo "==> cargo clippy --workspace --all-targets -- -D warnings"
 cargo clippy --workspace --all-targets -- -D warnings
 
+echo "==> cargo doc --workspace --no-deps (rustdoc warnings are errors)"
+# Broken intra-doc links point readers at items that do not exist.
+RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps --offline
+
 echo "==> granule-lock stress (ignored test, release)"
 # Sibling writers meet inside the race engine's per-granule critical
 # window only at release speed.

@@ -85,10 +85,10 @@ fn main() {
     println!("wall time          {wall:>10.3} s");
     println!("events analysed    {:>10.0}", total_events);
     println!("throughput         {:>10.0} events/s", total_events / wall);
-    println!("session latency    mean {:.3} s   p50 {:.3} s   max {:.3} s",
-        mean,
-        latencies[latencies.len() / 2],
-        latencies.last().copied().unwrap_or(0.0),
+    println!("session latency    mean {:.3} ms   p50 {:.3} ms   max {:.3} ms",
+        mean * 1e3,
+        latencies[latencies.len() / 2] * 1e3,
+        latencies.last().copied().unwrap_or(0.0) * 1e3,
     );
     println!(
         "server counters    {} session(s), {} event(s), {} busy rejection(s)",

@@ -1,12 +1,15 @@
 //! The `arbalest-serve` service: listeners, connection handling, and
 //! lifecycle.
 //!
-//! One thread accepts connections (TCP or Unix-domain); each connection
-//! gets a handler thread that speaks the frame protocol and routes work
-//! into the [`ShardPool`]. Shutdown is graceful by construction: the
-//! `Shutdown` frame (or [`ServerHandle::stop`]) stops the accept loop,
-//! wakes every handler out of its next read timeout, and then drains the
-//! shard queues to completion before the workers exit.
+//! One thread accepts connections (TCP or Unix-domain), blocked in
+//! `accept(2)`; each connection gets a handler thread that speaks the
+//! frame protocol and routes work into the [`ShardPool`]. Shutdown is
+//! graceful by construction: the `Shutdown` frame (or [`Server::stop`])
+//! sets the stop flag, and [`Server::stop`] wakes the blocked `accept`
+//! with one connection to the server's own address, which the accept
+//! thread drops unserved before it exits. Every handler wakes out of its
+//! next read timeout, and the shard queues drain to completion before
+//! the workers exit.
 
 use crate::proto::{Frame, ProtoError, WIRE_VERSION};
 use crate::shard::ShardPool;
@@ -18,13 +21,18 @@ use arbalest_store::{decode_session_snapshot, SessionLog, Store};
 use arbalest_sync::{Condvar, Mutex};
 use std::collections::HashSet;
 use std::io::{Read, Write};
-use std::net::{TcpListener, TcpStream};
+use std::net::{Ipv4Addr, Ipv6Addr, SocketAddr, TcpListener, TcpStream};
 use std::os::unix::net::{UnixListener, UnixStream};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering::SeqCst};
 use std::sync::Arc;
 use std::thread::JoinHandle;
-use std::time::Duration;
+use std::time::{Duration, Instant};
+
+/// First sleep after a failed `accept`, or a failed stop-time wake
+/// connection; each further failure doubles it up to [`MAX_BACKOFF`].
+const MIN_BACKOFF: Duration = Duration::from_millis(20);
+const MAX_BACKOFF: Duration = Duration::from_secs(1);
 
 /// Where the server listens (or a client connects).
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -300,7 +308,6 @@ impl Server {
             ListenAddr::Tcp(a) => {
                 let l = TcpListener::bind(a)?;
                 let local = ListenAddr::Tcp(l.local_addr()?.to_string());
-                l.set_nonblocking(true)?;
                 (Listener::Tcp(l), local, None)
             }
             ListenAddr::Unix(path) => {
@@ -313,7 +320,6 @@ impl Server {
                     }
                 }
                 let l = UnixListener::bind(path)?;
-                l.set_nonblocking(true)?;
                 (Listener::Unix(l), ListenAddr::Unix(path.clone()), Some(path.clone()))
             }
         };
@@ -440,21 +446,21 @@ impl Server {
 
     fn shutdown_inner(&mut self) {
         self.shared.request_stop();
+        let deadline = Instant::now() + self.drain_deadline;
+        let mut forced = false;
         if let Some(t) = self.accept_thread.take() {
-            let _ = t.join();
+            forced = !join_accept_thread(t, &self.local_addr, deadline);
         }
         // Handlers notice the stop flag at their next read timeout
         // (≤100 ms); wait for them so no one touches the pool afterwards.
-        let deadline = std::time::Instant::now() + self.drain_deadline;
-        while self.shared.active_connections.load(SeqCst) > 0
-            && std::time::Instant::now() < deadline
-        {
+        while self.shared.active_connections.load(SeqCst) > 0 && Instant::now() < deadline {
             std::thread::sleep(Duration::from_millis(10));
         }
-        if self.shared.active_connections.load(SeqCst) > 0 {
-            // The drain deadline fired with handlers (and possibly their
-            // queued jobs) still in flight: record the forced abort so
-            // operators can tell "clean drain" from "gave up waiting".
+        if forced || self.shared.active_connections.load(SeqCst) > 0 {
+            // The drain deadline fired with the accept thread unwoken or
+            // handlers (and possibly their queued jobs) still in flight:
+            // record the forced abort so operators can tell "clean drain"
+            // from "gave up waiting".
             self.shared.forced_aborts.inc();
         }
         self.pool.shutdown();
@@ -470,17 +476,57 @@ impl Drop for Server {
     }
 }
 
-fn accept_loop(listener: Listener, shared: &Arc<Shared>, pool: &Arc<ShardPool>) {
-    const POLL: Duration = Duration::from_millis(20);
-    const MAX_BACKOFF: Duration = Duration::from_secs(1);
-    // Real accept errors (fd exhaustion, aborted handshakes in a storm)
-    // back off exponentially instead of hot-looping at the poll interval;
-    // any successful accept resets the backoff.
-    let mut backoff = POLL;
-    loop {
-        if shared.stopping() {
-            break;
+/// Wake the accept thread out of its blocking `accept` with one
+/// connection to the server's own address, then join it once it has
+/// finished. A failed wake connect is retried with the accept loop's
+/// backoff; at `deadline` the thread is left detached and `false`
+/// returned. Joining only a finished thread keeps `stop` bounded even if
+/// the wake reached some other listener (a Unix socket path taken over
+/// by a newer server).
+fn join_accept_thread(t: JoinHandle<()>, addr: &ListenAddr, deadline: Instant) -> bool {
+    let mut backoff = MIN_BACKOFF;
+    let mut woken = false;
+    while !t.is_finished() {
+        let left = deadline.saturating_duration_since(Instant::now());
+        if left.is_zero() {
+            return false;
         }
+        woken = woken || wake_accept(addr, left.min(MAX_BACKOFF)).is_ok();
+        if woken {
+            std::thread::sleep(Duration::from_millis(1).min(left));
+        } else {
+            std::thread::sleep(backoff.min(left));
+            backoff = (backoff * 2).min(MAX_BACKOFF);
+        }
+    }
+    let _ = t.join();
+    true
+}
+
+/// Open (and at once drop) one connection to `addr`. An unspecified bind
+/// address (`0.0.0.0`, `[::]`) is reached through loopback.
+fn wake_accept(addr: &ListenAddr, timeout: Duration) -> std::io::Result<()> {
+    match addr {
+        ListenAddr::Tcp(a) => {
+            let mut a: SocketAddr = a.parse().map_err(std::io::Error::other)?;
+            if a.ip().is_unspecified() {
+                a.set_ip(match a {
+                    SocketAddr::V4(_) => Ipv4Addr::LOCALHOST.into(),
+                    SocketAddr::V6(_) => Ipv6Addr::LOCALHOST.into(),
+                });
+            }
+            TcpStream::connect_timeout(&a, timeout).map(drop)
+        }
+        ListenAddr::Unix(path) => UnixStream::connect(path).map(drop),
+    }
+}
+
+fn accept_loop(listener: Listener, shared: &Arc<Shared>, pool: &Arc<ShardPool>) {
+    // Real accept errors (fd exhaustion, aborted handshakes in a storm)
+    // back off exponentially instead of hot-looping; any successful
+    // accept resets the backoff.
+    let mut backoff = MIN_BACKOFF;
+    loop {
         let accepted = match &listener {
             Listener::Tcp(l) => l.accept().map(|(s, _)| {
                 let _ = s.set_nodelay(true); // replies are single writes
@@ -488,9 +534,15 @@ fn accept_loop(listener: Listener, shared: &Arc<Shared>, pool: &Arc<ShardPool>) 
             }),
             Listener::Unix(l) => l.accept().map(|(s, _)| Stream::Unix(s)),
         };
+        // Once stopping, whatever `accept` returned (the stop-time wake
+        // connection, or a client arriving after `Shutdown`) is dropped
+        // unserved.
+        if shared.stopping() {
+            break;
+        }
         match accepted {
             Ok(stream) => {
-                backoff = POLL;
+                backoff = MIN_BACKOFF;
                 let conn_shared = shared.clone();
                 let conn_pool = pool.clone();
                 shared.active_connections.fetch_add(1, SeqCst);
@@ -503,9 +555,6 @@ fn accept_loop(listener: Listener, shared: &Arc<Shared>, pool: &Arc<ShardPool>) 
                 if spawned.is_err() {
                     shared.active_connections.fetch_sub(1, SeqCst);
                 }
-            }
-            Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {
-                std::thread::sleep(POLL);
             }
             Err(_) => {
                 shared.accept_errors.inc();

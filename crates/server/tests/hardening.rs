@@ -14,7 +14,7 @@ use arbalest_server::{
 use std::io::Write as _;
 use std::net::TcpStream;
 use std::sync::Arc;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 /// Suppress the default panic hook's backtrace spam for panics this test
 /// binary injects on purpose; real panics still print.
@@ -231,4 +231,82 @@ fn wire_version_mismatch_still_fails_fast() {
     let reply = Frame::read_from(&mut raw, &mut || true).expect("reply");
     assert!(matches!(reply, Frame::Error { .. }), "{reply:?}");
     server.stop();
+}
+
+#[test]
+fn fresh_connection_sessions_are_not_held_by_the_accept_thread() {
+    // `arbalest submit` opens a fresh connection per session, so the
+    // accept thread sits on every session's path: it must hand a new
+    // connection over as soon as it arrives, not on a timer.
+    let server = start(ServerConfig { shards: 1, ..ServerConfig::default() });
+    let begun = Instant::now();
+    for _ in 0..50 {
+        let mut client = Client::connect(server.local_addr()).expect("connect");
+        client.hello().expect("hello");
+        assert!(client.finish().expect("finish").is_empty());
+    }
+    let took = begun.elapsed();
+    assert!(took < Duration::from_millis(500), "50 sessions took {took:?}");
+    server.stop();
+}
+
+#[test]
+fn stop_wakes_an_idle_accept_thread_on_every_listener_kind() {
+    let unix = std::env::temp_dir().join(format!("arbalest-hardening-{}.sock", std::process::id()));
+    for addr in [
+        ListenAddr::Tcp("127.0.0.1:0".into()),
+        // An unspecified bind address: the wake connection goes through
+        // loopback.
+        ListenAddr::Tcp("0.0.0.0:0".into()),
+        ListenAddr::Unix(unix.clone()),
+    ] {
+        let metrics = arbalest_obs::Registry::new();
+        let server = Server::start(
+            &addr,
+            ServerConfig { shards: 1, metrics: metrics.clone(), ..ServerConfig::default() },
+        )
+        .expect("bind");
+        // Let the accept thread reach its blocking `accept`.
+        std::thread::sleep(Duration::from_millis(50));
+        let begun = Instant::now();
+        server.stop();
+        let took = begun.elapsed();
+        assert!(took < Duration::from_secs(2), "stop on {addr} took {took:?}");
+        assert_eq!(
+            metrics.snapshot().counter("arbalest_server_forced_aborts_total", &[]),
+            Some(0),
+            "stop on {addr} gave up on the accept thread"
+        );
+    }
+    assert!(!unix.exists(), "socket file not cleaned up");
+}
+
+#[test]
+fn a_connection_after_shutdown_is_closed_without_a_session() {
+    let metrics = arbalest_obs::Registry::new();
+    let server = start(ServerConfig { shards: 1, metrics: metrics.clone(), ..ServerConfig::default() });
+    let addr = tcp_addr(&server);
+    Client::connect(server.local_addr())
+        .expect("connect")
+        .shutdown_server()
+        .expect("shutdown");
+    server.wait_for_shutdown();
+
+    // The late connection may be refused outright or accepted and then
+    // closed; either way its Hello must not be answered with a session.
+    if let Ok(mut raw) = TcpStream::connect(&addr) {
+        raw.set_read_timeout(Some(Duration::from_secs(5))).expect("read timeout");
+        let _ = Frame::Hello { version: WIRE_VERSION, resume: None }.write_to(&mut raw);
+        match Frame::read_from(&mut raw, &mut || false) {
+            Err(ProtoError::ShuttingDown) => panic!("late connection was left open"),
+            Err(_) => {}
+            Ok(reply) => panic!("late connection was served: {reply:?}"),
+        }
+    }
+    let begun = Instant::now();
+    server.stop();
+    assert!(begun.elapsed() < Duration::from_secs(2), "stop after Shutdown hung");
+    let snap = metrics.snapshot();
+    assert_eq!(snap.counter("arbalest_server_sessions_started_total", &[]), Some(0));
+    assert_eq!(snap.counter("arbalest_server_forced_aborts_total", &[]), Some(0));
 }
